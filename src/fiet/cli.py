@@ -72,6 +72,8 @@ def _write_text(text: str, out: Optional[str]) -> None:
 
 
 def _schedule_from_args(args) -> ParameterSchedule:
+    if args.depth < 1:
+        raise UsageError("--depth must be >= 1")
     if getattr(args, "config", None):
         data = _read_json(args.config)
         try:
@@ -148,7 +150,11 @@ def _cmd_path(args) -> int:
     if (args.word is None) == (args.params is None):
         raise UsageError("exactly one of --word or --params is required")
     if args.input:
-        comb = serialize.comb_from_dict(_read_json(args.input))
+        data = _read_json(args.input)
+        try:
+            comb = serialize.comb_from_dict(data)
+        except (KeyError, ValueError, TypeError) as exc:
+            raise UsageError(f"bad combinatorics data: {exc}") from exc
     else:
         comb = base_datum()
     if args.word is not None:
@@ -185,7 +191,13 @@ def _cmd_path(args) -> int:
     return 0
 
 
+def _check_precision(args) -> None:
+    if args.precision < 1:
+        raise UsageError("--precision must be >= 1")
+
+
 def _cmd_construct(args) -> int:
+    _check_precision(args)
     schedule = _schedule_from_args(args)
     try:
         report = limit_vectors(schedule, args.depth, family=args.family)
@@ -223,6 +235,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    _check_precision(args)
     if args.alpha:
         data = _read_json(args.alpha)
         try:
@@ -246,7 +259,10 @@ def _cmd_simulate(args) -> int:
         horizons = tuple(int(h) for h in args.horizons.split(","))
     except ValueError as exc:
         raise UsageError(f"bad --horizons list: {exc}") from exc
-    report = birkhoff_frequencies(f, starts, horizons)
+    try:
+        report = birkhoff_frequencies(f, starts, horizons)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     _write_text(serialize.frequency_report_csv(report, args.precision), args.out)
     return 0
 
@@ -323,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--precision", type=int, default=12,
                    help="decimal digits in the report (default 12)")
     p.add_argument("--out", help="output file (default: stdout)")
-    p.set_defaults(func=_cmd_construct, family_default="computed")
+    p.set_defaults(func=_cmd_construct, family="computed")
 
     p = sub.add_parser("verify", help="run the full verification pipeline")
     _add_schedule_flags(p)
@@ -334,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-matrix-report", action="store_true",
                    help="skip the matrix fidelity section")
     p.add_argument("--out", help="output file (default: stdout)")
-    p.set_defaults(func=_cmd_verify, family_default="reference")
+    p.set_defaults(func=_cmd_verify, family="reference")
 
     p = sub.add_parser("simulate", help="exact Birkhoff frequencies of the map")
     _add_schedule_flags(p)
@@ -349,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--precision", type=int, default=12,
                    help="decimal digits in the CSV (default 12)")
     p.add_argument("--out", help="output file (default: stdout)")
-    p.set_defaults(func=_cmd_simulate, family_default="computed")
+    p.set_defaults(func=_cmd_simulate, family="computed")
 
     p = sub.add_parser("oracle", help="randomized induction/first-return crosscheck")
     p.add_argument("--trials", type=int, default=1000)
@@ -363,8 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if hasattr(args, "family") and args.family is None:
-        args.family = getattr(args, "family_default", "computed")
     try:
         return args.func(args)
     except UsageError as exc:

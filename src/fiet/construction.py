@@ -330,21 +330,17 @@ def limit_vectors(
         raise ValueError("m must be >= 1")
     if v is None:
         v = (1,) * N_LABELS
-    total: Optional[TransitionMatrix] = None
-    report: Optional[LimitReport] = None
-    for i in range(1, m + 1):
-        block = theta_block(schedule, i, family)
-        total = block if total is None else total @ block
-        bits = max(max(e.bit_length() for e in row) for row in total.rows)
-        report = _report_from_product(total, i, family, v)
-        if bits > max_entry_bits and i < m:
+    total = theta_block(schedule, 1, family)
+    for i in range(2, m + 1):
+        bits = max(e.bit_length() for row in total.rows for e in row)
+        if bits > max_entry_bits:
             raise ResourceLimitError(
-                f"matrix entries reached {bits} bits after block {i} "
+                f"matrix entries reached {bits} bits after block {i - 1} "
                 f"(budget {max_entry_bits}); partial report attached",
-                partial=report,
+                partial=_report_from_product(total, i - 1, family, v),
             )
-    assert report is not None
-    return report
+        total = total @ theta_block(schedule, i, family)
+    return _report_from_product(total, m, family, v)
 
 
 def _report_from_product(

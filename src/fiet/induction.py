@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .core import Fiet, FietCombinatorics, FietError
 
@@ -247,48 +247,59 @@ class RauzyPath:
         return RauzyPath(self.runs * k)
 
 
-def _apply_run(
-    c0: FietCombinatorics, letter: str, count: int
-) -> tuple[FietCombinatorics, TransitionMatrix]:
-    """Apply ``count`` steps of one letter, exploiting eventual periodicity.
+def _identity_columns(n: int) -> list[list[int]]:
+    return [[int(i == j) for i in range(n)] for j in range(n)]
 
-    Combinatorial states under a fixed letter are eventually periodic; once a
-    state repeats, the remaining steps are a power of the cycle's matrix.  A
-    state fixed by its own step (the common case inside long runs) yields
-    I + count * e_{winner,loser} without iterating.
+
+def _from_columns(cols: list[list[int]]) -> TransitionMatrix:
+    return TransitionMatrix(tuple(zip(*cols)))
+
+
+def _add_column(cols: list[list[int]], winner: int, loser: int, k: int) -> None:
+    """Right-multiply by I + k * e_{winner,loser}: col_loser += k * col_winner."""
+    cols[loser - 1] = [a + k * b for a, b in zip(cols[loser - 1], cols[winner - 1])]
+
+
+def _apply_run(
+    cols: list[list[int]], c0: FietCombinatorics, letter: str, count: int
+) -> FietCombinatorics:
+    """Apply ``count`` steps of one letter to the columns ``cols`` in place.
+
+    Combinatorial states under a fixed letter are eventually periodic.  A
+    state fixed by its own step (the common case inside long runs) finishes
+    the run in one column update, col_loser += remaining * col_winner.  Once a
+    state of a longer cycle repeats, the remaining steps are a power of the
+    cycle's matrix.  Returns the end state.
     """
     seen = {c0: 0}
     states = [c0]
-    step_mats: list[TransitionMatrix] = []
+    steps: list[tuple[int, int]] = []
     c = c0
     t = 0
     while t < count:
         out = symbolic_step(c, letter)
-        step_mats.append(out.matrix)
+        if out.new_comb == c:
+            _add_column(cols, out.winner, out.loser, count - t)
+            return c
+        _add_column(cols, out.winner, out.loser, 1)
+        steps.append((out.winner, out.loser))
         c = out.new_comb
         t += 1
         if c in seen:
             i = seen[c]
-            cycle_len = t - i
-            remaining = count - t
-            q, r = divmod(remaining, cycle_len)
-            total = _product(c0.n, step_mats)
+            q, r = divmod(count - t, t - i)
             if q:
-                cycle = _product(c0.n, step_mats[i:t])
-                total = total @ cycle.power(q)
-            for k in range(r):
-                total = total @ step_mats[i + k]
-            return states[i + r], total
+                cycle = _identity_columns(c0.n)
+                for winner, loser in steps[i:]:
+                    _add_column(cycle, winner, loser, 1)
+                total = _from_columns(cols) @ _from_columns(cycle).power(q)
+                cols[:] = [list(col) for col in zip(*total.rows)]
+            for winner, loser in steps[i:i + r]:
+                _add_column(cols, winner, loser, 1)
+            return states[i + r]
         seen[c] = t
         states.append(c)
-    return c, _product(c0.n, step_mats)
-
-
-def _product(n: int, mats: Iterable[TransitionMatrix]) -> TransitionMatrix:
-    total = TransitionMatrix.identity(n)
-    for m in mats:
-        total = total @ m
-    return total
+    return c
 
 
 def apply_path(
@@ -297,28 +308,25 @@ def apply_path(
     """Thread a path through the combinatorics; returns (end state, path matrix).
 
     The matrix is the ordered product of the step matrices, so
-    old lengths = matrix · new lengths across the whole path.
+    old lengths = matrix · new lengths across the whole path.  It is kept as
+    one list of integer columns for the whole path: a step with winner w and
+    loser l is the column operation col_l += col_w (O(n), no matrix
+    product), and a run on a state fixed by its own step costs one update,
+    col_l += count · col_w.  Only a run that cycles with period > 1 raises a
+    cycle matrix to a power.
     """
-    total = TransitionMatrix.identity(c.n)
+    cols = _identity_columns(c.n)
     cur = c
     for letter, count in path.runs:
-        cur, m = _apply_run(cur, letter, count)
-        total = total @ m
-    return cur, total
+        cur = _apply_run(cols, cur, letter, count)
+    return cur, _from_columns(cols)
 
 
 def path_matrix_for_power(
     c: FietCombinatorics, path: RauzyPath, k: int
 ) -> tuple[FietCombinatorics, TransitionMatrix]:
     """Thread ``path`` k times in a row; returns (end state, product matrix)."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    total = TransitionMatrix.identity(c.n)
-    cur = c
-    for _ in range(k):
-        cur, m = apply_path(cur, path)
-        total = total @ m
-    return cur, total
+    return apply_path(c, path.repeat(k))
 
 
 def induced_subpermutation(

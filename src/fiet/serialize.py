@@ -9,6 +9,7 @@ timestamps, so identical inputs produce identical bytes.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from typing import Sequence
 
@@ -18,13 +19,52 @@ from .induction import StepOutcome, TransitionMatrix
 from .verify import FrequencyReport, InequalityRecord
 
 
+# The interpreter's int/str conversion digit limit; 0 means none.  Python
+# releases before 3.10.7 have no limit and no getter.
+_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
+def int_to_str(n: int) -> str:
+    """Decimal text of an integer of any size.
+
+    Integers over the interpreter's digit limit are split on a power of ten
+    and converted half by half; the limit itself is never changed.
+    """
+    limit = _max_str_digits()
+    # b bits give at most 0.302*b + 1 digits, so 3*limit bits stay in the limit.
+    if not limit or n.bit_length() <= 3 * limit:
+        return str(n)
+    if n < 0:
+        return "-" + int_to_str(-n)
+    k = n.bit_length() * 3 // 20  # about half the decimal digits
+    hi, lo = divmod(n, 10**k)
+    return int_to_str(hi) + int_to_str(lo).rjust(k, "0")
+
+
+def str_to_int(s: str) -> int:
+    """Parse decimal text of any length, the inverse of :func:`int_to_str`."""
+    limit = _max_str_digits()
+    if not limit or len(s) <= limit:
+        return int(s)
+    s = s.strip()
+    if s[:1] in ("+", "-"):
+        magnitude = str_to_int(s[1:])
+        return -magnitude if s[0] == "-" else magnitude
+    k = len(s) // 2
+    return str_to_int(s[:-k]) * 10**k + str_to_int(s[-k:])
+
+
 def format_fraction(q: Fraction) -> str:
     q = Fraction(q)
-    return f"{q.numerator}/{q.denominator}"
+    return f"{int_to_str(q.numerator)}/{int_to_str(q.denominator)}"
 
 
 def parse_fraction(s: str) -> Fraction:
-    return Fraction(s)
+    limit = _max_str_digits()
+    if not limit or len(s) <= limit:
+        return Fraction(s)
+    num, _, den = s.partition("/")
+    return Fraction(str_to_int(num), str_to_int(den) if den else 1)
 
 
 def fraction_to_decimal(q: Fraction, precision: int = 12) -> str:
@@ -35,7 +75,7 @@ def fraction_to_decimal(q: Fraction, precision: int = 12) -> str:
     sign = "-" if q < 0 else ""
     q = abs(q)
     scaled = (q.numerator * 10**precision * 2 + q.denominator) // (2 * q.denominator)
-    digits = str(scaled).rjust(precision + 1, "0")
+    digits = int_to_str(scaled).rjust(precision + 1, "0")
     return f"{sign}{digits[:-precision]}.{digits[-precision:]}"
 
 

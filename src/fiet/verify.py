@@ -36,7 +36,6 @@ from .construction import (
     base_datum,
     l1_distance,
     matrix_fidelity_report,
-    normalize,
     reference_column_sums,
     theta_copy,
 )
@@ -196,19 +195,20 @@ def tower_vectors(
 
     Returns {level j: x^(j)} for j = 1..copies+1, where x^(copies+1) is the
     seed itself and x^(j) = normalize(M_j * x^(j+1)) with M_j the copy-j
-    matrix of the chosen family.
+    matrix of the chosen family.  Normalizing is scale-invariant, so the
+    recursion runs on the unnormalized integer vectors w_j = M_j * w_(j+1)
+    and each level is emitted as w_j / sum(w_j).
     """
     if not (1 <= seed <= N_LABELS):
         raise ValueError(f"seed must be a label in 1..{N_LABELS}")
     if copies < 1:
         raise ValueError("copies must be >= 1")
-    vec: tuple[Fraction, ...] = tuple(
-        Fraction(1 if k == seed else 0) for k in range(1, N_LABELS + 1)
-    )
-    levels = {copies + 1: vec}
+    vec = tuple(int(k == seed) for k in range(1, N_LABELS + 1))
+    levels = {copies + 1: tuple(Fraction(v) for v in vec)}
     for j in range(copies, 0, -1):
-        vec = normalize(theta_copy(schedule, j, family).mat_vec(vec))
-        levels[j] = vec
+        vec = theta_copy(schedule, j, family).mat_vec(vec)
+        total = sum(vec)
+        levels[j] = tuple(Fraction(v, total) for v in vec)
     return levels
 
 

@@ -2,6 +2,7 @@
 
 import io
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,7 @@ from fiet.serialize import (
     FREQUENCY_CSV_HEADER,
     comb_to_dict,
     fiet_to_dict,
+    format_fraction,
     matrix_to_lists,
     parse_fraction,
 )
@@ -434,6 +436,61 @@ class TestOracle:
     def test_seeded_runs_reproducible(self, capsys):
         args = ["oracle", "--trials", "25", "--seed", "3"]
         assert run(capsys, args) == run(capsys, args)
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("argv", [
+        ["construct", "--depth", "0"],
+        ["verify", "--depth", "0"],
+        ["construct", "--precision", "0"],
+        ["simulate", "--d", "2", "--p1", "2", "--depth", "1", "--horizons", "0"],
+    ])
+    def test_out_of_range_value_exits_two(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+    def test_path_input_without_pi0_exits_two(self, capsys, tmp_path):
+        bad = write_json(tmp_path, "c.json", {"n": 8, "pi1": list(range(1, 9))})
+        code, out, err = run(capsys, ["path", "--in", bad, "--word", "ab"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "pi0" in err
+
+
+class TestOutputsOverDigitLimit:
+    """Exact numbers past the interpreter's int/str digit limit round-trip."""
+
+    @staticmethod
+    def round_trips(strings):
+        values = [parse_fraction(s) for s in strings]
+        assert [format_fraction(v) for v in values] == list(strings)
+        return values
+
+    def test_verify_relaxed_depth_nine(self, capsys):
+        code, out, _ = run(capsys, ["verify", "--mode", "relaxed", "--depth", "9",
+                                    "--no-matrix-report"])
+        assert code == 0
+        payload = json.loads(out)
+        vectors = payload["level1_vectors"]
+        assert max(len(s) for vec in vectors.values() for s in vec) \
+            > sys.get_int_max_str_digits()
+        for vec in vectors.values():
+            assert sum(self.round_trips(vec)) == 1
+        for rec in payload["separation"]:
+            lhs, rhs, margin = self.round_trips(
+                [rec["lhs"], rec["rhs"], rec["margin"]])
+            assert lhs - rhs == margin
+
+    def test_construct_relaxed_depth_seven(self, capsys):
+        code, out, _ = run(capsys, ["construct", "--mode", "relaxed", "--depth", "7"])
+        assert code == 0
+        payload = json.loads(out)
+        alpha = self.round_trips(payload["alpha"]["exact"])
+        assert max(len(s) for s in payload["alpha"]["exact"]) \
+            > sys.get_int_max_str_digits()
+        assert tuple(alpha) == limit_vectors(ParameterSchedule.relaxed(), 7).alpha
 
 
 class TestParser:

@@ -373,6 +373,12 @@ class TestLimitVectors:
         assert partial.m < 3
         assert sum(partial.alpha) == 1
 
+    def test_partial_report_equals_report_at_its_depth(self):
+        with pytest.raises(ResourceLimitError) as exc_info:
+            limit_vectors(self.SMALL, 3, max_entry_bits=10)
+        partial = exc_info.value.partial
+        assert partial == limit_vectors(self.SMALL, partial.m)
+
     def test_reference_family_supported(self):
         rep = limit_vectors(self.SMALL, 1, family="reference")
         assert rep.family == "reference"

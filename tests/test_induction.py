@@ -17,6 +17,7 @@ from fiet import (
     base_datum,
     first_return,
     induced_subpermutation,
+    is_irreducible,
     length_driven_letters,
     path_matrix_for_power,
     rauzy_step,
@@ -308,3 +309,91 @@ class TestLengthDriven:
         # mirroring which side of the subtractive gcd pair shrinks.
         f = Fiet(FietCombinatorics(2, (1, 2), (2, 1), fs()), (F(9), F(5)))
         assert length_driven_letters(f, 3) == ("a", "b", "a")
+
+
+def cycle_power_run(c, letter, count):
+    """Reference run algorithm: matrix products, and a power of the cycle matrix.
+
+    Steps one letter until a state repeats, then multiplies by the cycle
+    matrix raised to the number of whole cycles left and steps the rest.
+    """
+    seen, states, mats = {c: 0}, [c], []
+    total = TransitionMatrix.identity(c.n)
+    t = 0
+    while t < count:
+        out = symbolic_step(states[-1], letter)
+        mats.append(out.matrix)
+        total = total @ out.matrix
+        t += 1
+        if out.new_comb in seen:
+            i = seen[out.new_comb]
+            q, r = divmod(count - t, t - i)
+            cycle = TransitionMatrix.identity(c.n)
+            for m in mats[i:]:
+                cycle = cycle @ m
+            total = total @ cycle.power(q)
+            for m in mats[i:i + r]:
+                total = total @ m
+            return states[i + r], total
+        seen[out.new_comb] = t
+        states.append(out.new_comb)
+    return states[-1], total
+
+
+def cycle_power_path(c, path):
+    total = TransitionMatrix.identity(c.n)
+    for letter, count in path.runs:
+        c, m = cycle_power_run(c, letter, count)
+        total = total @ m
+    return c, total
+
+
+irreducible_st = combinatorics_st(max_n=8).filter(is_irreducible)
+
+
+class TestColumnThreading:
+    @settings(max_examples=80, deadline=None)
+    @given(irreducible_st, st.lists(st.tuples(
+        st.sampled_from("ab"), st.integers(1, 12)), max_size=6))
+    def test_equals_product_of_step_matrices(self, c, runs):
+        path = RauzyPath(tuple(runs))
+        try:
+            cur = c
+            total = TransitionMatrix.identity(c.n)
+            for letter in path.word():
+                out = symbolic_step(cur, letter)
+                cur, total = out.new_comb, total @ out.matrix
+        except KeaneViolation:
+            with pytest.raises(KeaneViolation):
+                apply_path(c, path)
+            return
+        assert apply_path(c, path) == (cur, total)
+
+    @settings(max_examples=60, deadline=None)
+    @given(irreducible_st, st.lists(st.tuples(
+        st.sampled_from("ab"), st.integers(1, 10**40)), max_size=5))
+    def test_huge_runs_match_cycle_powers(self, c, runs):
+        path = RauzyPath(tuple(runs))
+        try:
+            expected = cycle_power_path(c, path)
+        except KeaneViolation:
+            with pytest.raises(KeaneViolation):
+                apply_path(c, path)
+            return
+        assert apply_path(c, path) == expected
+
+    def test_period_three_cycle_with_huge_count(self):
+        c = TestApplyPath.CYCLING
+        count = 10**40 + 1  # 2 mod the period 3: the run ends mid-cycle
+        end, m = apply_path(c, RauzyPath((("a", count),)))
+        assert (end, m) == cycle_power_run(c, "a", count)
+        assert end != c
+        assert m.det() == 1
+
+    def test_fixed_state_run_is_one_update(self):
+        c = FietCombinatorics(2, (1, 2), (2, 1), fs())
+        count = 10**40
+        end, m = apply_path(c, RauzyPath((("a", count), ("b", count))))
+        assert end == c
+        assert m == (TransitionMatrix.elementary_power(2, 1, 2, count)
+                     @ TransitionMatrix.elementary_power(2, 2, 1, count))

@@ -1,5 +1,6 @@
 """Tests for stable text encodings: fractions, JSON payloads, CSV rows."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,7 @@ from fiet.serialize import (
     fraction_to_decimal,
     frequency_report_csv,
     frequency_report_rows,
+    int_to_str,
     limit_report_to_dict,
     matrix_to_lists,
     named_schedule,
@@ -36,6 +38,7 @@ from fiet.serialize import (
     schedule_from_dict,
     schedule_to_dict,
     step_outcome_to_dict,
+    str_to_int,
     vector_to_strs,
     verify_report_to_dict,
 )
@@ -54,6 +57,26 @@ class TestFractionText:
         for s in ("1/2", "5/1", "-7/3", "0/1"):
             assert format_fraction(parse_fraction(s)) == s
         assert parse_fraction("7") == 7
+
+    def test_integers_over_the_digit_limit(self):
+        digits = 3 * max(sys.get_int_max_str_digits(), 1000) + 7
+        chunks = digits // 500
+        n = 0
+        for _ in range(chunks):
+            n = n * 10**500 + int("7" * 500)
+        text = "7" * (500 * chunks)
+        for value, expected in ((n, text), (-n, "-" + text),
+                                (10**digits, "1" + "0" * digits),
+                                (10**digits - 1, "9" * digits)):
+            assert int_to_str(value) == expected
+            assert str_to_int(expected) == value
+        q = Fraction(n, 10**digits + 1)
+        assert parse_fraction(format_fraction(q)) == q
+        assert parse_fraction(text) == n
+
+    def test_decimal_rendering_over_the_digit_limit(self):
+        precision = max(sys.get_int_max_str_digits(), 1000) + 10
+        assert fraction_to_decimal(Fraction(1, 3), precision) == "0." + "3" * precision
 
     def test_decimal_rendering(self):
         assert fraction_to_decimal(Fraction(1, 3)) == "0.333333333333"

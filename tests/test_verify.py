@@ -20,8 +20,10 @@ from fiet import (
     iterate,
     lemma_towers,
     midpoint_starts,
+    normalize,
     oracle_crosscheck,
     subtractive_steps,
+    theta_copy,
     tower_vectors,
     verify_all,
 )
@@ -154,6 +156,17 @@ class TestTowers:
     def test_copies_validation(self):
         with pytest.raises(ValueError):
             tower_vectors(SMALL, seed=7, copies=0)
+
+    @pytest.mark.parametrize("family", ["reference", "computed"])
+    @pytest.mark.parametrize("seed", [2, 5, 7])
+    def test_equals_normalized_recursion(self, family, seed):
+        schedule = ParameterSchedule.relaxed()
+        vec = tuple(Fraction(int(k == seed)) for k in range(1, 9))
+        expected = {7: vec}
+        for j in range(6, 0, -1):
+            vec = normalize(theta_copy(schedule, j, family).mat_vec(vec))
+            expected[j] = vec
+        assert tower_vectors(schedule, seed, 6, family) == expected
 
     def test_checked_levels(self):
         assert BURN_IN_LEVELS == 2
