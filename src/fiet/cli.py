@@ -33,14 +33,7 @@ from .construction import (
     limit_vectors,
 )
 from .core import Fiet, FietError
-from .induction import (
-    KeaneViolation,
-    RauzyPath,
-    induced_subpermutation,
-    path_matrix_for_power,
-    rauzy_step,
-    symbolic_step,
-)
+from .induction import KeaneViolation, RauzyPath, apply_path, rauzy_step, symbolic_step
 from .verify import (
     birkhoff_frequencies,
     midpoint_starts,
@@ -165,7 +158,7 @@ def _cmd_path(args) -> int:
         path = build_path(_params_from_string(args.params))
     if args.power < 1:
         raise UsageError("--power must be >= 1")
-    end, matrix = path_matrix_for_power(comb, path, args.power)
+    end, matrix = apply_path(comb, path.repeat(args.power))
     payload = {
         "start": serialize.comb_to_dict(comb),
         "combinatorics": serialize.comb_to_dict(end),
@@ -179,7 +172,7 @@ def _cmd_path(args) -> int:
         except ValueError as exc:
             raise UsageError(f"bad --induced list: {exc}") from exc
         try:
-            pi0r, pi1r = induced_subpermutation(comb, end, labels)
+            pi0r, pi1r = end.restrict(labels)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
         payload["induced"] = {

@@ -6,11 +6,15 @@ and ``pi1`` in the range; the map sends the subinterval labeled k onto the
 range subinterval labeled k, translating when ``k not in flips`` and
 reflecting when ``k in flips``.
 
-All arithmetic is exact: lengths and points are ``fractions.Fraction``.
-Domain subintervals are closed on the left and open on the right.  For a
-flipped label the left endpoint of its domain subinterval has no image under
-this convention; it is declared a discontinuity and orbits reaching it
-terminate with :class:`OrbitTerminated`.
+All arithmetic is exact.  Lengths and points are ``fractions.Fraction`` at
+the API boundary only: the four orbit walks (:func:`evaluate`,
+:func:`iterate`, :func:`first_return` and
+:func:`fiet.verify.birkhoff_frequencies`) share one map compiled into
+integer tiles at a common scale (``_Tiles``).  Domain subintervals are
+closed on the left and open on the right.  For a flipped label the left
+endpoint of its domain subinterval has no image under this convention; it is
+declared a discontinuity and orbits reaching it terminate with
+:class:`OrbitTerminated`.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 
@@ -144,10 +149,9 @@ class OrbitPoint:
     visit_counts: tuple[int, ...]
 
 
-def _partition(order: Sequence[int], lengths: Sequence[Fraction]):
-    """Tiles [(label, lo, hi), ...] for the given label order."""
+def _partition(order: Sequence[int], lengths: Sequence, lo=Fraction(0)):
+    """Tiles [(label, lo, hi), ...] for the given label order, from ``lo``."""
     tiles = []
-    lo = Fraction(0)
     for label in order:
         hi = lo + lengths[label - 1]
         tiles.append((label, lo, hi))
@@ -165,17 +169,45 @@ def range_partition(f: Fiet) -> list[tuple[int, Fraction, Fraction]]:
     return _partition(f.comb.pi1, f.lengths)
 
 
-class _Tiling:
-    """Binary-searchable tiling with left endpoints by label."""
+class _Tiles:
+    """The map compiled once into integer tiles at a common scale.
 
-    def __init__(self, tiles):
-        self.tiles = tiles
-        self.cuts = [t[1] for t in tiles]
-        self.left = {label: lo for label, lo, _ in tiles}
+    ``scale`` is twice the lcm of the denominators of the lengths and of
+    ``points``, so tile ends, the given points and reflected images
+    (x -> a + b - x) are all integers.  ``tiles[i] = (label, u, lam, v,
+    flipped)``: domain tile i is [u, u + lam) and its range tile starts at v;
+    ``cuts`` holds the u's and ``L`` the scaled total length.
+    """
 
-    def locate(self, x: Fraction) -> tuple[int, Fraction, Fraction]:
-        i = bisect_right(self.cuts, x) - 1
-        return self.tiles[i]
+    def __init__(self, f: Fiet, points: Iterable[Fraction] = ()):
+        self.scale = scale = 2 * lcm(*(q.denominator for q in (*f.lengths, *points)))
+        lam = [q.numerator * (scale // q.denominator) for q in f.lengths]
+        left = {label: v for label, v, _ in _partition(f.comb.pi1, lam, 0)}
+        self.tiles = [
+            (label, u, hi - u, left[label], label in f.comb.flips)
+            for label, u, hi in _partition(f.comb.pi0, lam, 0)
+        ]
+        self.cuts = [t[1] for t in self.tiles]
+        self.L = sum(lam)
+
+    def locate(self, x: int) -> tuple[int, int, int, int, bool]:
+        return self.tiles[bisect_right(self.cuts, x) - 1]
+
+    def step(self, x: int) -> tuple[int, int]:
+        """(label of x's tile, image of x), both at this scale."""
+        label, u, lam, v, flipped = self.locate(x)
+        if not flipped:
+            return label, v + (x - u)
+        if x == u:
+            raise FlipDiscontinuityError(Fraction(x, self.scale), label)
+        return label, v + (u + lam - x)
+
+
+def _check_point(f: Fiet, x) -> Fraction:
+    x = Fraction(x)
+    if x < 0 or x >= f.total_length:
+        raise DomainError(f"{x} outside [0, {f.total_length})")
+    return x
 
 
 def evaluate(f: Fiet, x: Fraction) -> Fraction:
@@ -185,22 +217,9 @@ def evaluate(f: Fiet, x: Fraction) -> Fraction:
     :class:`FlipDiscontinuityError` at the left endpoint of a flipped
     subinterval (where the closed-left convention leaves no image).
     """
-    x = Fraction(x)
-    if x < 0 or x >= f.total_length:
-        raise DomainError(f"{x} outside [0, {f.total_length})")
-    dom = _Tiling(domain_partition(f))
-    rng = _Tiling(range_partition(f))
-    return _evaluate_located(f, x, dom, rng)
-
-
-def _evaluate_located(f: Fiet, x: Fraction, dom: _Tiling, rng: _Tiling) -> Fraction:
-    label, u, _ = dom.locate(x)
-    v = rng.left[label]
-    if label in f.comb.flips:
-        if x == u:
-            raise FlipDiscontinuityError(x, label)
-        return v + (u + f.length_of(label) - x)
-    return v + (x - u)
+    x = _check_point(f, x)
+    tiles = _Tiles(f, (x,))
+    return Fraction(tiles.step(int(x * tiles.scale))[1], tiles.scale)
 
 
 def iterate(f: Fiet, x0: Fraction, steps: int) -> OrbitPoint:
@@ -213,21 +232,18 @@ def iterate(f: Fiet, x0: Fraction, steps: int) -> OrbitPoint:
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    x = Fraction(x0)
-    if x < 0 or x >= f.total_length:
-        raise DomainError(f"{x} outside [0, {f.total_length})")
-    dom = _Tiling(domain_partition(f))
-    rng = _Tiling(range_partition(f))
+    x0 = _check_point(f, x0)
+    tiles = _Tiles(f, (x0,))
+    x = int(x0 * tiles.scale)
     counts = [0] * f.n
     for t in range(steps):
-        label, u, _ = dom.locate(x)
         try:
-            nxt = _evaluate_located(f, x, dom, rng)
+            label, x_next = tiles.step(x)
         except FlipDiscontinuityError:
-            raise OrbitTerminated(t, x, tuple(counts)) from None
+            raise OrbitTerminated(t, Fraction(x, tiles.scale), tuple(counts)) from None
         counts[label - 1] += 1
-        x = nxt
-    return OrbitPoint(x, tuple(counts))
+        x = x_next
+    return OrbitPoint(Fraction(x, tiles.scale), tuple(counts))
 
 
 def is_irreducible(c: FietCombinatorics) -> bool:
@@ -249,6 +265,7 @@ class _Piece:
     where its points currently sit; ``sign`` is +1 if orientation is
     preserved, -1 if reversed; ``rtime`` counts applications of the map;
     ``home`` is the label of the original domain tile containing ``dom``.
+    Coordinates are integers at the scale of the map's :class:`_Tiles`.
     """
 
     __slots__ = ("dom_lo", "dom_hi", "pos_lo", "pos_hi", "sign", "rtime", "home")
@@ -262,7 +279,7 @@ class _Piece:
         self.rtime = rtime
         self.home = home
 
-    def split_at(self, c: Fraction) -> tuple["_Piece", "_Piece"]:
+    def split_at(self, c: int) -> tuple["_Piece", "_Piece"]:
         """Split at position-space point c in (pos_lo, pos_hi); returns (left, right)."""
         if self.sign == 1:
             mid = self.dom_lo + (c - self.pos_lo)
@@ -294,16 +311,17 @@ def first_return(f: Fiet, cut: Fraction, max_applications: int = 4096) -> Fiet:
     if not (0 < cut < L):
         raise DomainError(f"cut {cut} outside (0, {L}]")
 
-    dom_tiles = domain_partition(f)
-    rng_left = {label: lo for label, lo, _ in range_partition(f)}
+    tiles = _Tiles(f, (cut,))
+    scale = tiles.scale
+    cut = int(cut * scale)
 
     # Initial pieces: [0, cut) split at the original domain breakpoints.
     pieces: list[_Piece] = []
-    for label, lo, hi in dom_tiles:
-        if lo >= cut:
+    for label, u, lam, _, _ in tiles.tiles:
+        if u >= cut:
             break
-        hi2 = min(hi, cut)
-        pieces.append(_Piece(lo, hi2, lo, hi2, 1, 0, label))
+        hi = min(u + lam, cut)
+        pieces.append(_Piece(u, hi, u, hi, 1, 0, label))
 
     done: list[_Piece] = []
     budget = max_applications
@@ -319,23 +337,17 @@ def first_return(f: Fiet, cut: Fraction, max_applications: int = 4096) -> Fiet:
             pieces.extend((left, right))
             continue
         # Apply the map to a piece lying in a single domain tile (split if not).
-        i = bisect_right([t[1] for t in dom_tiles], p.pos_lo) - 1
-        label, u, hi = dom_tiles[i]
-        if p.pos_hi > hi:
-            left, right = p.split_at(hi)
+        label, u, lam, v, flipped = tiles.locate(p.pos_lo)
+        if p.pos_hi > u + lam:
+            left, right = p.split_at(u + lam)
             pieces.extend((left, right))
             continue
         budget -= 1
-        lam = f.length_of(label)
-        v = rng_left[label]
-        if label in f.comb.flips:
-            new_lo = v + (u + lam - p.pos_hi)
-            new_hi = v + (u + lam - p.pos_lo)
+        if flipped:
+            p.pos_lo, p.pos_hi = v + (u + lam - p.pos_hi), v + (u + lam - p.pos_lo)
             p.sign = -p.sign
         else:
-            new_lo = v + (p.pos_lo - u)
-            new_hi = v + (p.pos_hi - u)
-        p.pos_lo, p.pos_hi = new_lo, new_hi
+            p.pos_lo, p.pos_hi = v + (p.pos_lo - u), v + (p.pos_hi - u)
         p.rtime += 1
         pieces.append(p)
 
@@ -346,14 +358,14 @@ def first_return(f: Fiet, cut: Fraction, max_applications: int = 4096) -> Fiet:
 
     done.sort(key=lambda p: p.dom_lo)
     # Exact tilings of [0, cut) in both domain and final positions.
-    lo = Fraction(0)
+    lo = 0
     for p in done:
         if p.dom_lo != lo:
             raise OracleInapplicable("domain pieces do not tile the cut interval")
         lo = p.dom_hi
     if lo != cut:
         raise OracleInapplicable("domain pieces do not tile the cut interval")
-    lo = Fraction(0)
+    lo = 0
     for p in sorted(done, key=lambda p: p.pos_lo):
         if p.pos_lo != lo:
             raise OracleInapplicable("returned pieces do not tile the cut interval")
@@ -391,6 +403,6 @@ def first_return(f: Fiet, cut: Fraction, max_applications: int = 4096) -> Fiet:
     new_flips = frozenset(labels[id(p)] for p in done if p.sign == -1)
     new_lengths = [Fraction(0)] * f.n
     for p in done:
-        new_lengths[labels[id(p)] - 1] = p.dom_hi - p.dom_lo
+        new_lengths[labels[id(p)] - 1] = Fraction(p.dom_hi - p.dom_lo, scale)
     comb = FietCombinatorics(f.n, new_pi0, new_pi1, new_flips)
     return Fiet(comb, tuple(new_lengths))

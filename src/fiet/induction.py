@@ -322,28 +322,6 @@ def apply_path(
     return cur, _from_columns(cols)
 
 
-def path_matrix_for_power(
-    c: FietCombinatorics, path: RauzyPath, k: int
-) -> tuple[FietCombinatorics, TransitionMatrix]:
-    """Thread ``path`` k times in a row; returns (end state, product matrix)."""
-    return apply_path(c, path.repeat(k))
-
-
-def induced_subpermutation(
-    c: FietCombinatorics, c2: FietCombinatorics, labels: Sequence[int]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Both rows of ``c2`` restricted to ``labels`` (relative order kept).
-
-    ``labels`` must be a subset of the labels of both combinatorics; ``c`` is
-    the state the path started from and is used only for validation.
-    """
-    keep = set(int(v) for v in labels)
-    for name, comb in (("c", c), ("c2", c2)):
-        if not keep <= set(range(1, comb.n + 1)):
-            raise ValueError(f"labels {sorted(keep)} not a subset of {name}'s labels")
-    return c2.restrict(sorted(keep))
-
-
 def length_driven_letters(f: Fiet, steps: int) -> tuple[str, ...]:
     """The letter sequence chosen by ``steps`` length-driven induction steps."""
     letters = []

@@ -9,6 +9,7 @@ timestamps, so identical inputs produce identical bytes.
 from __future__ import annotations
 
 import json
+import re
 import sys
 from fractions import Fraction
 from typing import Sequence
@@ -289,5 +290,29 @@ def frequency_report_csv(report: FrequencyReport, precision: int = 12) -> str:
 
 
 def dump_json(obj) -> str:
-    """Deterministic JSON: sorted keys, stable floats-free payload, newline end."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Deterministic JSON: sorted keys, stable floats-free payload, newline end.
+
+    Integers past the interpreter's digit limit, which ``json.dumps``
+    refuses, are still written as JSON numbers: only then is each swapped
+    for a placeholder string (a NUL and an index, which no payload string
+    starts with), and the placeholder's quoted form is replaced by the
+    :func:`int_to_str` digits.
+    """
+    try:
+        return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    except ValueError:
+        pass
+    digits: list[str] = []
+
+    def swap(o):
+        if isinstance(o, dict):
+            return {k: swap(v) for k, v in o.items()}
+        if isinstance(o, (list, tuple)):
+            return [swap(v) for v in o]
+        if type(o) is int and o.bit_length() > 3 * _max_str_digits():
+            digits.append(int_to_str(o))
+            return f"\x00{len(digits) - 1}"
+        return o
+
+    text = json.dumps(swap(obj), indent=2, sort_keys=True)
+    return re.sub(r'"\\u0000(\d+)"', lambda m: digits[int(m[1])], text) + "\n"

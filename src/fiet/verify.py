@@ -18,16 +18,9 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Optional, Sequence
 
-from .core import (
-    Fiet,
-    FietCombinatorics,
-    domain_partition,
-    first_return,
-    range_partition,
-)
+from .core import Fiet, FietCombinatorics, _Tiles, domain_partition, first_return
 from .induction import KeaneViolation, rauzy_step
 from .construction import (
     N_LABELS,
@@ -382,9 +375,9 @@ def birkhoff_frequencies(
     the step index at which it terminated, with frequencies over the steps
     actually completed.  A terminating start affects only its own rows.
 
-    Arithmetic is pure integer: positions are scaled by twice the common
-    denominator of the lengths, so flips stay exact and comparisons are
-    machine integers whenever the data is small.
+    Arithmetic is pure integer: the map's tiles are scaled by twice the
+    common denominator of the lengths and starts, so flips stay exact and
+    comparisons are machine integers whenever the data is small.
     """
     if isinstance(horizons, int):
         horizons = (horizons,)
@@ -394,20 +387,8 @@ def birkhoff_frequencies(
     horizons = tuple(sorted(set(horizons)))
     starts = tuple(Fraction(s) for s in starts)
 
-    # Integer scaling: denominators of lengths and starts, doubled so that
-    # reflections (x -> a + b - x) and midpoints stay integral.
-    scale = 2 * lcm(*(q.denominator for q in list(f.lengths) + list(starts)))
-    dom = domain_partition(f)
-    rng_left = {label: lo for label, lo, _ in range_partition(f)}
-    cuts = [int(lo * scale) for _, lo, _ in dom]
-    tiles = []
-    for label, lo, hi in dom:
-        u = int(lo * scale)
-        lam = int((hi - lo) * scale)
-        v = int(rng_left[label] * scale)
-        flipped = label in f.comb.flips
-        tiles.append((label, u, lam, v, flipped))
-    L = int(f.total_length * scale)
+    kernel = _Tiles(f, starts)
+    scale, cuts, tiles, L = kernel.scale, kernel.cuts, kernel.tiles, kernel.L
 
     results = []
     hmax = horizons[-1]
@@ -421,8 +402,8 @@ def birkhoff_frequencies(
         terminated: Optional[int] = None
         hs = set(horizons)
         for step in range(hmax):
-            i = bisect_right(cuts, x) - 1
-            label, u, lam, v, flipped = tiles[i]
+            # _Tiles.step inlined: the call cost 10-15% of this loop's time.
+            label, u, lam, v, flipped = tiles[bisect_right(cuts, x) - 1]
             if flipped:
                 if x == u:
                     terminated = step

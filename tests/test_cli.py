@@ -18,9 +18,9 @@ from fiet import (
     build_path,
     domain_partition,
     limit_vectors,
-    path_matrix_for_power,
     rauzy_step,
 )
+from fiet import serialize
 from fiet.cli import main
 from fiet.serialize import (
     FREQUENCY_CSV_HEADER,
@@ -183,13 +183,29 @@ class TestPath:
         )
         assert code == 0
         payload = json.loads(out)
-        end, matrix = path_matrix_for_power(
-            base_datum(), build_path(PathParameters(1, 1, 1, 1, 1)), 3
+        end, matrix = apply_path(
+            base_datum(), build_path(PathParameters(1, 1, 1, 1, 1)).repeat(3)
         )
         assert payload["combinatorics"] == comb_to_dict(end)
         assert payload["matrix"] == matrix_to_lists(matrix)
         assert payload["path_length"] == 105
         assert payload["combinatorics"] == comb_to_dict(base_datum())
+
+    def test_power_past_the_int_digit_limit(self, capsys):
+        # Matrix entries of this power have ~7800 digits, over Python's
+        # default int/str conversion limit of 4300.
+        code, out, err = run(
+            capsys, ["path", "--params", "10,20,40,20,10", "--power", "3000"]
+        )
+        assert code == 0
+        assert "Traceback" not in err
+        # Three copies of the path return to the start, so the matrix of
+        # 3000 copies is the 1000th power of apply_path's three-copy matrix.
+        path = build_path(PathParameters(10, 20, 40, 20, 10))
+        end, matrix = apply_path(base_datum(), path.repeat(3))
+        assert end == base_datum()
+        payload = json.loads(out, parse_int=serialize.str_to_int)
+        assert payload["matrix"] == matrix_to_lists(matrix.power(1000))
 
     def test_word_and_params_both_rejected(self, capsys):
         code, _, err = run(

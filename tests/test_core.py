@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import fiets_st, steppable_fiets_st
 from fiet import (
@@ -13,11 +14,16 @@ from fiet import (
     FlipDiscontinuityError,
     OracleInapplicable,
     OrbitTerminated,
+    ParameterSchedule,
+    base_datum,
+    birkhoff_frequencies,
     domain_partition,
     evaluate,
     first_return,
     is_irreducible,
     iterate,
+    limit_vectors,
+    midpoint_starts,
     range_partition,
     rauzy_step,
 )
@@ -155,6 +161,105 @@ class TestIterate:
     def test_start_outside_rejected(self):
         with pytest.raises(DomainError):
             iterate(FLIPPY, 11, 1)
+
+
+def reference_orbit(f, x, steps):
+    """Positions x_0.. and labels of up to ``steps`` steps, by the Fraction
+    formula of the map; stops at a flipped left endpoint (no image)."""
+    left = {label: lo for label, lo, _ in range_partition(f)}
+    tiles = domain_partition(f)
+    xs, labels = [F(x)], []
+    for _ in range(steps):
+        label, u, hi = next(t for t in tiles if t[1] <= xs[-1] < t[2])
+        if label in f.comb.flips and xs[-1] == u:
+            break
+        d = hi - xs[-1] if label in f.comb.flips else xs[-1] - u
+        xs.append(left[label] + d)
+        labels.append(label)
+    return xs, labels
+
+
+def label_counts(f, labels):
+    return tuple(labels.count(k) for k in range(1, f.n + 1))
+
+
+@st.composite
+def fiet_and_start_st(draw):
+    """An FIET and a start j/29 in [0, L): 29 divides no length denominator."""
+    f = draw(fiets_st())
+    j = draw(st.integers(0, int(f.total_length * 29) - 1))
+    return f, F(j, 29)
+
+
+class TestKernelAgainstReference:
+    STEPS = 30
+
+    @settings(max_examples=60, deadline=None)
+    @given(fiet_and_start_st())
+    def test_iterate_and_evaluate_step_by_step(self, fx):
+        f, x = fx
+        xs, labels = reference_orbit(f, x, self.STEPS)
+        for k in range(len(labels) + 1):
+            pt = iterate(f, x, k)
+            assert pt.position == xs[k]
+            assert pt.visit_counts == label_counts(f, labels[:k])
+        for a, b in zip(xs, xs[1:]):
+            assert evaluate(f, a) == b
+        if len(labels) < self.STEPS:
+            with pytest.raises(OrbitTerminated) as exc:
+                iterate(f, x, self.STEPS)
+            assert exc.value.step == len(labels)
+            assert exc.value.position == xs[-1]
+            assert exc.value.visit_counts == label_counts(f, labels)
+            with pytest.raises(FlipDiscontinuityError):
+                evaluate(f, xs[-1])
+
+    @settings(max_examples=60, deadline=None)
+    @given(fiet_and_start_st())
+    def test_birkhoff_counts_step_by_step(self, fx):
+        f, x = fx
+        xs, labels = reference_orbit(f, x, self.STEPS)
+        rep = birkhoff_frequencies(f, (x,), range(1, self.STEPS + 1))
+        for r in rep.results:
+            done = min(r.horizon, len(labels))
+            assert r.steps_completed == done
+            assert r.terminated_at == (None if done == r.horizon else done)
+            counts = label_counts(f, labels[:done])
+            assert r.frequencies == tuple(
+                F(c, done) if done else F(0) for c in counts
+            )
+
+    @given(fiets_st())
+    def test_flipped_left_endpoint_terminates_at_step_zero(self, f):
+        for label, u, _ in domain_partition(f):
+            if label not in f.comb.flips:
+                continue
+            assert reference_orbit(f, u, 1) == ([u], [])
+            with pytest.raises(FlipDiscontinuityError):
+                evaluate(f, u)
+            with pytest.raises(OrbitTerminated) as exc:
+                iterate(f, u, 5)
+            assert (exc.value.step, exc.value.position) == (0, u)
+            assert exc.value.visit_counts == (0,) * f.n
+            (r,) = birkhoff_frequencies(f, (u,), 5).results
+            assert (r.terminated_at, r.steps_completed) == (0, 0)
+            assert r.frequencies == (F(0),) * f.n
+
+    def test_constructed_alpha_midpoints(self):
+        alpha = limit_vectors(ParameterSchedule.relaxed(), 2, family="computed").alpha
+        f = Fiet(base_datum(), alpha)
+        starts = midpoint_starts(f)
+        rep = birkhoff_frequencies(f, starts, 2000)
+        for start, r in zip(starts, rep.results):
+            xs, labels = reference_orbit(f, start, 2000)
+            assert (r.steps_completed, r.terminated_at) == (2000, None)
+            assert r.frequencies == tuple(
+                F(c, 2000) for c in label_counts(f, labels)
+            )
+            visited = sorted(xs[:2000])
+            gaps = [visited[0], f.total_length - visited[-1]]
+            gaps += [b - a for a, b in zip(visited, visited[1:])]
+            assert r.max_gap == max(gaps)
 
 
 class TestFirstReturn:

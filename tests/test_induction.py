@@ -16,10 +16,8 @@ from fiet import (
     apply_path,
     base_datum,
     first_return,
-    induced_subpermutation,
     is_irreducible,
     length_driven_letters,
-    path_matrix_for_power,
     rauzy_step,
     symbolic_step,
 )
@@ -279,10 +277,10 @@ class TestApplyPath:
         c = base_datum()
         end1, m1 = apply_path(c, path)
         end2, m2 = apply_path(end1, path)
-        end_p, m_p = path_matrix_for_power(c, path, 2)
+        end_p, m_p = apply_path(c, path.repeat(2))
         assert end_p == end2
         assert m_p == m1 @ m2
-        end0, m0 = path_matrix_for_power(c, path, 0)
+        end0, m0 = apply_path(c, path.repeat(0))
         assert end0 == c
         assert m0 == TransitionMatrix.identity(8)
 
@@ -290,16 +288,16 @@ class TestApplyPath:
 class TestInducedSubpermutation:
     def test_full_label_set_returns_rows(self):
         c = base_datum()
-        assert induced_subpermutation(c, c, range(1, 9)) == (c.pi0, c.pi1)
+        assert c.restrict(range(1, 9)) == (c.pi0, c.pi1)
 
     def test_restriction_keeps_relative_order(self):
         c = base_datum()
-        assert induced_subpermutation(c, c, (2, 3, 4)) == ((2, 3, 4), (4, 2, 3))
+        assert c.restrict((2, 3, 4)) == ((2, 3, 4), (4, 2, 3))
 
     def test_unknown_labels_rejected(self):
         c = base_datum()
         with pytest.raises(ValueError):
-            induced_subpermutation(c, c, (0, 9))
+            c.restrict((0, 9))
 
 
 class TestLengthDriven:

@@ -1,5 +1,6 @@
 """Tests for stable text encodings: fractions, JSON payloads, CSV rows."""
 
+import json
 import sys
 from fractions import Fraction
 
@@ -276,3 +277,13 @@ class TestDumpJson:
     def test_deterministic(self):
         payload = {"x": [1, 2, 3], "y": {"k": "v"}}
         assert dump_json(payload) == dump_json(payload)
+
+    def test_integers_over_the_digit_limit_are_json_numbers(self):
+        big = 10 ** (3 * max(sys.get_int_max_str_digits(), 1000)) + 7
+        payload = {"m": [[1, -big], [big, 0]], "s": "x", "t": True}
+        text = dump_json(payload)
+        assert json.loads(text, parse_int=str_to_int) == payload
+        # Same layout as json.dumps gives integers within the limit.
+        layout = dump_json({"m": [[1, -2], [3, 0]], "s": "x", "t": True})
+        digits = int_to_str(big)
+        assert text == layout.replace("3", digits).replace("-2", "-" + digits)
