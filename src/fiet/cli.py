@@ -18,8 +18,10 @@ sorted JSON keys, exact rationals as "num/den", no timestamps.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from typing import Optional
 
@@ -36,6 +38,8 @@ from .core import Fiet, FietError
 from .induction import KeaneViolation, RauzyPath, apply_path, rauzy_step, symbolic_step
 from .verify import (
     birkhoff_frequencies,
+    check_lemma3,
+    check_lemma4,
     midpoint_starts,
     oracle_crosscheck,
     verify_all,
@@ -46,13 +50,28 @@ class UsageError(Exception):
     """Bad input or flag combination; reported on stderr with exit code 2."""
 
 
+@contextmanager
+def _bad_input(what: str):
+    """Report a failed conversion of user input as a usage error.
+
+    Wrap only the parsing and validation of flags and input files, so that a
+    fault in a computation still surfaces as a traceback.
+    """
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise UsageError(f"{what}: {exc}") from exc
+
+
 def _read_json(path: str) -> dict:
     try:
         if path == "-":
             return json.load(sys.stdin)
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError covers bad JSON and bytes that are not UTF-8; RecursionError
+    # is how the decoder reports nesting too deep to parse.
+    except (OSError, ValueError, RecursionError) as exc:
         raise UsageError(f"cannot read JSON from {path}: {exc}") from exc
 
 
@@ -67,55 +86,34 @@ def _write_text(text: str, out: Optional[str]) -> None:
 def _schedule_from_args(args) -> ParameterSchedule:
     if args.depth < 1:
         raise UsageError("--depth must be >= 1")
-    if getattr(args, "config", None):
+    if args.config:
         data = _read_json(args.config)
-        try:
+        with _bad_input("bad schedule config"):
             schedule = serialize.schedule_from_dict(data)
-        except (KeyError, ValueError) as exc:
-            raise UsageError(f"bad schedule config: {exc}") from exc
     else:
         schedule = serialize.named_schedule(args.mode)
-    overrides = {}
-    if getattr(args, "d", None) is not None:
-        overrides["d"] = args.d
-    if getattr(args, "p1", None) is not None:
-        overrides["p1_1"] = args.p1
-    if getattr(args, "p4_rule", None) is not None:
-        overrides["p4_rule"] = args.p4_rule
-    if getattr(args, "p5_rule", None) is not None:
-        overrides["p5_rule"] = args.p5_rule
+    overrides = {"d": args.d, "p1_1": args.p1,
+                 "p4_rule": args.p4_rule, "p5_rule": args.p5_rule}
+    overrides = {k: v for k, v in overrides.items() if v is not None}
     if overrides:
-        base = serialize.schedule_to_dict(schedule)
-        base.update(overrides)
-        base["mode"] = "custom"
-        schedule = serialize.schedule_from_dict(base)
+        with _bad_input("bad schedule override"):
+            schedule = dataclasses.replace(schedule, **overrides, mode="custom")
     return schedule
 
 
 def _params_from_string(s: str) -> PathParameters:
-    try:
+    with _bad_input(f"bad parameter list {s!r}"):
         parts = [int(v) for v in s.split(",")]
-    except ValueError as exc:
-        raise UsageError(f"bad parameter list {s!r}: {exc}") from exc
-    if len(parts) != 5:
-        raise UsageError("expected five comma-separated parameters p1,p2,p3,p4,p5")
-    try:
+        if len(parts) != 5:
+            raise UsageError("expected five comma-separated parameters p1,p2,p3,p4,p5")
         return PathParameters(*parts)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
 
 
 def _cmd_step(args) -> int:
     data = _read_json(args.input)
-    try:
-        if "lengths" in data:
-            f = serialize.fiet_from_dict(data)
-            comb = f.comb
-        else:
-            f = None
-            comb = serialize.comb_from_dict(data)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise UsageError(f"bad FIET data: {exc}") from exc
+    with _bad_input("bad FIET data"):
+        f = serialize.fiet_from_dict(data) if "lengths" in data else None
+        comb = f.comb if f is not None else serialize.comb_from_dict(data)
 
     if f is None and not args.letter:
         raise UsageError("input has no lengths; --letter is required")
@@ -144,10 +142,8 @@ def _cmd_path(args) -> int:
         raise UsageError("exactly one of --word or --params is required")
     if args.input:
         data = _read_json(args.input)
-        try:
+        with _bad_input("bad combinatorics data"):
             comb = serialize.comb_from_dict(data)
-        except (KeyError, ValueError, TypeError) as exc:
-            raise UsageError(f"bad combinatorics data: {exc}") from exc
     else:
         comb = base_datum()
     if args.word is not None:
@@ -167,14 +163,9 @@ def _cmd_path(args) -> int:
         "power": args.power,
     }
     if args.induced:
-        try:
+        with _bad_input("bad --induced list"):
             labels = [int(v) for v in args.induced.split(",")]
-        except ValueError as exc:
-            raise UsageError(f"bad --induced list: {exc}") from exc
-        try:
             pi0r, pi1r = end.restrict(labels)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
         payload["induced"] = {
             "labels": sorted(set(labels)),
             "pi0": list(pi0r),
@@ -209,6 +200,12 @@ def _cmd_construct(args) -> int:
 
 def _cmd_verify(args) -> int:
     schedule = _schedule_from_args(args)
+    # The lambda2 tower's seed vector: the lemma checks on it reject a bad
+    # --c or --b before any tower is built.
+    seed = (0, 1, 0, 0, 0, 0, 0, 0)
+    with _bad_input("bad --c or --b"):
+        check_lemma3(seed, c=args.c)
+        check_lemma4(seed, b=args.b)
     report = verify_all(
         schedule,
         args.depth,
@@ -231,31 +228,24 @@ def _cmd_simulate(args) -> int:
     _check_precision(args)
     if args.alpha:
         data = _read_json(args.alpha)
-        try:
-            vec = [serialize.parse_fraction(s) for s in data["alpha"]["exact"]]
-        except (KeyError, ValueError, TypeError) as exc:
-            raise UsageError(
-                f"--alpha file must be construct output with alpha.exact: {exc}"
-            ) from exc
+        with _bad_input("--alpha file must be construct output with alpha.exact"):
+            f = Fiet(base_datum(), tuple(
+                serialize.parse_fraction(s) for s in data["alpha"]["exact"]))
     else:
         schedule = _schedule_from_args(args)
-        vec = list(limit_vectors(schedule, args.depth, family=args.family).alpha)
-    f = Fiet(base_datum(), tuple(vec))
+        f = Fiet(base_datum(),
+                 limit_vectors(schedule, args.depth, family=args.family).alpha)
     if args.starts == "midpoints":
         starts = midpoint_starts(f)
     else:
-        try:
+        with _bad_input("bad --starts list"):
             starts = tuple(Fraction(s) for s in args.starts.split(","))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise UsageError(f"bad --starts list: {exc}") from exc
-    try:
+    with _bad_input("bad --horizons list"):
         horizons = tuple(int(h) for h in args.horizons.split(","))
-    except ValueError as exc:
-        raise UsageError(f"bad --horizons list: {exc}") from exc
-    try:
+    # birkhoff_frequencies is where a start outside the interval or a
+    # non-positive horizon is rejected, so the orbit walk is inside the boundary.
+    with _bad_input("bad --starts or --horizons"):
         report = birkhoff_frequencies(f, starts, horizons)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
     _write_text(serialize.frequency_report_csv(report, args.precision), args.out)
     return 0
 

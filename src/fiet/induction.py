@@ -118,9 +118,6 @@ class TransitionMatrix:
     def row_sums(self) -> tuple[int, ...]:
         return tuple(sum(row) for row in self.rows)
 
-    def transpose(self) -> "TransitionMatrix":
-        return TransitionMatrix(tuple(zip(*self.rows)))
-
     def det(self) -> int:
         """Exact determinant (fraction-free Gaussian elimination)."""
         n = self.n
@@ -152,7 +149,11 @@ class StepOutcome:
     loser: int
     case_tag: str  # 'a1', 'a2' (winner = domain label), 'b1', 'b2' (range label)
     letter: str  # 'a' (range label wins) or 'b' (domain label wins)
-    matrix: TransitionMatrix
+
+    @property
+    def matrix(self) -> TransitionMatrix:
+        """The step's transition matrix I + e_{winner,loser}, built on access."""
+        return TransitionMatrix.elementary(self.new_comb.n, self.winner, self.loser)
 
 
 def symbolic_step(c: FietCombinatorics, letter: str) -> StepOutcome:
@@ -179,8 +180,7 @@ def symbolic_step(c: FietCombinatorics, letter: str) -> StepOutcome:
     else:
         new_c = FietCombinatorics(c.n, c.pi0, tuple(row), new_flips)
     tag = ("a" if letter == "b" else "b") + ("2" if flipped else "1")
-    return StepOutcome(new_c, winner, loser, tag, letter,
-                       TransitionMatrix.elementary(c.n, winner, loser))
+    return StepOutcome(new_c, winner, loser, tag, letter)
 
 
 def rauzy_step(f: Fiet) -> tuple[Fiet, StepOutcome]:

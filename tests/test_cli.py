@@ -474,6 +474,53 @@ class TestInputErrors:
         assert out == ""
         assert err.startswith("error: ") and "pi0" in err
 
+    RIGGED_ZERO_DEN = dict(TestStep.RIGGED, lengths=["1/0"] + ["1/1"] * 7)
+
+    # "FILE" in argv is replaced by a file holding the given JSON data.
+    @pytest.mark.parametrize("argv, data", [
+        (["construct", "--d", "1"], None),
+        (["verify", "--d", "1"], None),
+        (["simulate", "--d", "1"], None),
+        (["construct", "--p1", "0"], None),
+        (["construct", "--config", "FILE"], [1, 2]),
+        (["verify", "--config", "FILE"], "relaxed"),
+        (["simulate", "--config", "FILE"], 5),
+        (["verify", "--depth", "1", "--c", "10"], None),
+        (["verify", "--depth", "1", "--b", "33"], None),
+        (["step", "--in", "FILE"], RIGGED_ZERO_DEN),
+        (["simulate", "--alpha", "FILE"], {"alpha": {"exact": ["1/0"] * 8}}),
+        (["simulate", "--alpha", "FILE"], {"alpha": {"exact": ["1/7"] * 7}}),
+        (["simulate", "--alpha", "FILE"],
+         {"alpha": {"exact": ["0/1"] + ["1/7"] * 7}}),
+        (["path", "--in", "FILE", "--word", "ab"],
+         dict(comb_to_dict(base_datum()), n=float("inf"))),
+    ], ids=[
+        "construct-d-1", "verify-d-1", "simulate-d-1", "construct-p1-0",
+        "config-list", "config-string", "config-number", "verify-c-10",
+        "verify-b-33", "step-zero-denominator", "alpha-zero-denominator",
+        "alpha-seven-entries", "alpha-zero-entry", "path-infinite-n",
+    ])
+    def test_bad_input_exits_two(self, capsys, tmp_path, argv, data):
+        if data is not None:
+            path = write_json(tmp_path, "in.json", data)
+            argv = [path if a == "FILE" else a for a in argv]
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("raw", [
+        b"\xff\xfe not utf-8",
+        b"[" * 100_000 + b"]" * 100_000,
+    ], ids=["not-utf8", "nested-too-deep"])
+    def test_unreadable_json_exits_two(self, capsys, tmp_path, raw):
+        p = tmp_path / "in.json"
+        p.write_bytes(raw)
+        code, out, err = run(capsys, ["step", "--in", str(p)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot read JSON")
+
 
 class TestOutputsOverDigitLimit:
     """Exact numbers past the interpreter's int/str digit limit round-trip."""
