@@ -63,10 +63,15 @@ class OracleInapplicable(FietError):
     """first_return could not represent the return map as an n-interval FIET."""
 
 
-def _check_permutation(images: Sequence[int], n: int, name: str) -> tuple[int, ...]:
-    images = tuple(int(v) for v in images)
-    if len(images) != n or sorted(images) != list(range(1, n + 1)):
-        raise ValueError(f"{name} must be a permutation of 1..{n}, got {images}")
+def _check_permutation(
+    images: Sequence[int], labels: set[int], name: str
+) -> tuple[int, ...]:
+    """``images`` as a tuple of ints; raises unless it orders ``labels`` = {1..n}."""
+    images = tuple(map(int, images))
+    if len(images) != len(labels) or set(images) != labels:
+        raise ValueError(
+            f"{name} must be a permutation of 1..{len(labels)}, got {images}"
+        )
     return images
 
 
@@ -82,10 +87,11 @@ class FietCombinatorics:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        object.__setattr__(self, "pi0", _check_permutation(self.pi0, self.n, "pi0"))
-        object.__setattr__(self, "pi1", _check_permutation(self.pi1, self.n, "pi1"))
-        object.__setattr__(self, "flips", frozenset(int(v) for v in self.flips))
-        if not self.flips <= set(range(1, self.n + 1)):
+        labels = set(range(1, self.n + 1))
+        object.__setattr__(self, "pi0", _check_permutation(self.pi0, labels, "pi0"))
+        object.__setattr__(self, "pi1", _check_permutation(self.pi1, labels, "pi1"))
+        object.__setattr__(self, "flips", frozenset(map(int, self.flips)))
+        if not self.flips <= labels:
             raise ValueError(f"flips {set(self.flips)} not a subset of 1..{self.n}")
 
     @property
@@ -174,9 +180,10 @@ class _Tiles:
 
     ``scale`` is twice the lcm of the denominators of the lengths and of
     ``points``, so tile ends, the given points and reflected images
-    (x -> a + b - x) are all integers.  ``tiles[i] = (label, u, lam, v,
-    flipped)``: domain tile i is [u, u + lam) and its range tile starts at v;
-    ``cuts`` holds the u's and ``L`` the scaled total length.
+    (x -> a + b - x) are all integers.  ``tiles[i] = (label, u, lam, c,
+    flipped)``: domain tile i is [u, u + lam) and maps x to its image offset
+    plus or minus x, ``c + x`` or, when flipped, ``c - x``; ``cuts`` holds
+    the u's and ``L`` the scaled total length.
     """
 
     def __init__(self, f: Fiet, points: Iterable[Fraction] = ()):
@@ -184,7 +191,9 @@ class _Tiles:
         lam = [q.numerator * (scale // q.denominator) for q in f.lengths]
         left = {label: v for label, v, _ in _partition(f.comb.pi1, lam, 0)}
         self.tiles = [
-            (label, u, hi - u, left[label], label in f.comb.flips)
+            (label, u, hi - u, left[label] + hi, True)
+            if label in f.comb.flips
+            else (label, u, hi - u, left[label] - u, False)
             for label, u, hi in _partition(f.comb.pi0, lam, 0)
         ]
         self.cuts = [t[1] for t in self.tiles]
@@ -195,12 +204,12 @@ class _Tiles:
 
     def step(self, x: int) -> tuple[int, int]:
         """(label of x's tile, image of x), both at this scale."""
-        label, u, lam, v, flipped = self.locate(x)
+        label, u, _, c, flipped = self.locate(x)
         if not flipped:
-            return label, v + (x - u)
+            return label, c + x
         if x == u:
             raise FlipDiscontinuityError(Fraction(x, self.scale), label)
-        return label, v + (u + lam - x)
+        return label, c - x
 
 
 def _check_point(f: Fiet, x) -> Fraction:
@@ -337,17 +346,17 @@ def first_return(f: Fiet, cut: Fraction, max_applications: int = 4096) -> Fiet:
             pieces.extend((left, right))
             continue
         # Apply the map to a piece lying in a single domain tile (split if not).
-        label, u, lam, v, flipped = tiles.locate(p.pos_lo)
+        label, u, lam, c, flipped = tiles.locate(p.pos_lo)
         if p.pos_hi > u + lam:
             left, right = p.split_at(u + lam)
             pieces.extend((left, right))
             continue
         budget -= 1
         if flipped:
-            p.pos_lo, p.pos_hi = v + (u + lam - p.pos_hi), v + (u + lam - p.pos_lo)
+            p.pos_lo, p.pos_hi = c - p.pos_hi, c - p.pos_lo
             p.sign = -p.sign
         else:
-            p.pos_lo, p.pos_hi = v + (p.pos_lo - u), v + (p.pos_hi - u)
+            p.pos_lo, p.pos_hi = c + p.pos_lo, c + p.pos_hi
         p.rtime += 1
         pieces.append(p)
 

@@ -34,6 +34,7 @@ from .construction import (
 )
 
 BURN_IN_LEVELS = 2  # levels J-1, J are finite-seed start-up artifacts
+GAP_CELLS_LOG2 = 12  # birkhoff_frequencies' max_gap grid starts with ~4096 cells
 
 
 @dataclass(frozen=True)
@@ -373,11 +374,27 @@ def birkhoff_frequencies(
     the largest gap the visited points leave in [0, L) (a density
     diagnostic), and — if the orbit hits a point where the map is undefined —
     the step index at which it terminated, with frequencies over the steps
-    actually completed.  A terminating start affects only its own rows.
+    actually completed.  A terminating start affects only its own rows.  The
+    visited points of a row are x_0 .. x_{done-1}, or x_0 alone when the
+    orbit terminates at step 0.
 
     Arithmetic is pure integer: the map's tiles are scaled by twice the
     common denominator of the lengths and starts, so flips stay exact and
     comparisons are machine integers whenever the data is small.
+
+    ``max_gap`` is exact but the orbit is not stored: the walk keeps only
+    the smallest and largest visited point of each cell ``x >> s`` of a
+    grid of width ``2**s`` (about ``2**GAP_CELLS_LOG2`` cells at first).
+    The gaps between consecutive non-empty cells — from 0 to the first
+    minimum, from each maximum to the next minimum, from the last maximum
+    to L — are gaps between consecutive visited points, and every other gap
+    lies inside one cell and is shorter than ``2**s``.  So the largest of
+    them is the exact ``max_gap`` whenever it is at least ``2**s``.
+    Otherwise the start is walked again on a finer grid.  Its p points cut
+    [0, L) into p + 1 gaps summing to L, so by pigeonhole ``max_gap >=
+    L // (p + 1)``, and ``max_gap`` is at least the coarse largest gap too.
+    The finer width is the largest power of two not above either bound, so
+    the second walk is exact; its grid has at most about 2 (p + 1) cells.
     """
     if isinstance(horizons, int):
         horizons = (horizons,)
@@ -388,59 +405,80 @@ def birkhoff_frequencies(
     starts = tuple(Fraction(s) for s in starts)
 
     kernel = _Tiles(f, starts)
-    scale, cuts, tiles, L = kernel.scale, kernel.cuts, kernel.tiles, kernel.L
-
+    L = kernel.L
     results = []
-    hmax = horizons[-1]
     for start in starts:
-        x = int(start * scale)
+        x = int(start * kernel.scale)
         if not (0 <= x < L):
             raise ValueError(f"start {start} outside [0, {f.total_length})")
-        counts = [0] * f.n
-        positions = [x]
-        snapshots: dict[int, tuple] = {}
-        terminated: Optional[int] = None
-        hs = set(horizons)
-        for step in range(hmax):
-            # _Tiles.step inlined: the call cost 10-15% of this loop's time.
-            label, u, lam, v, flipped = tiles[bisect_right(cuts, x) - 1]
-            if flipped:
-                if x == u:
-                    terminated = step
-                    break
-                nxt = v + (u + lam - x)
-            else:
-                nxt = v + (x - u)
-            counts[label - 1] += 1
-            x = nxt
-            if step + 1 < hmax:
-                positions.append(x)
-            if step + 1 in hs:
-                snapshots[step + 1] = tuple(counts)
-        for h in horizons:
-            if terminated is not None and h > terminated:
-                done = terminated
-                cts = tuple(counts)
-            else:
-                done = h
-                cts = snapshots[h]
-            total = sum(cts)
-            freqs = tuple(
-                Fraction(ct, total) if total else Fraction(0) for ct in cts
+        s = max(L.bit_length() - GAP_CELLS_LOG2, 0)
+        rows = _walk(kernel, x, horizons, s)
+        while coarse := [(done, gap) for done, _, gap in rows if gap < 1 << s]:
+            s = min(
+                max(gap, L // (max(done, 1) + 1)).bit_length() - 1
+                for done, gap in coarse
             )
-            visited = sorted(positions[: max(done, 1)])
-            gaps = [visited[0]] + [
-                b - a for a, b in zip(visited, visited[1:])
-            ] + [L - visited[-1]]
+            rows = _walk(kernel, x, horizons, s)
+        for h, (done, cts, gap) in zip(horizons, rows):
+            freqs = tuple(
+                Fraction(ct, done) if done else Fraction(0) for ct in cts
+            )
             results.append(StartResult(
                 start=start,
                 horizon=h,
                 steps_completed=done,
-                terminated_at=terminated if (terminated is not None and h > terminated) else None,
+                terminated_at=done if done < h else None,
                 frequencies=freqs,
-                max_gap=Fraction(max(gaps), scale),
+                max_gap=Fraction(gap, kernel.scale),
             ))
     return FrequencyReport(starts, horizons, tuple(results))
+
+
+def _walk(
+    kernel: _Tiles, x: int, horizons: tuple[int, ...], s: int
+) -> list[tuple[int, tuple[int, ...], int]]:
+    """Walk one orbit from x to its last horizon on cells of width ``2**s``.
+
+    One ``(steps done, visit counts, largest gap)`` per horizon, where the
+    largest gap is taken between the per-cell extremes of the visited points
+    (the exact ``max_gap`` when it is at least ``2**s``).
+    """
+    tiles, cuts, L = kernel.tiles, kernel.cuts, kernel.L
+    lo = [L] * (((L - 1) >> s) + 1)
+    hi = [-1] * len(lo)
+    counts = [0] * len(tiles)
+    rows = []
+    done = 0
+    for h in horizons:
+        # A terminated orbit stays at its terminal point, so every later
+        # horizon breaks at once on the same step.
+        for done in range(done, h):
+            # _Tiles.step inlined: the call cost 10-15% of this loop's time.
+            label, u, _, c, flipped = tiles[bisect_right(cuts, x) - 1]
+            if flipped:
+                if x == u:
+                    break
+                nxt = c - x
+            else:
+                nxt = c + x
+            counts[label - 1] += 1
+            cell = x >> s
+            if x < lo[cell]:
+                lo[cell] = x
+            if x > hi[cell]:
+                hi[cell] = x
+            x = nxt
+        else:
+            done = h
+        if done == 0:
+            lo[x >> s] = hi[x >> s] = x
+        gap = prev = 0
+        for a, b in zip(lo, hi):
+            if b >= 0:
+                gap = max(gap, a - prev)
+                prev = b
+        rows.append((done, tuple(counts), max(gap, L - prev)))
+    return rows
 
 
 def frequency_l1_gaps(report: FrequencyReport, horizon: int) -> dict:

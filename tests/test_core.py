@@ -183,6 +183,15 @@ def label_counts(f, labels):
     return tuple(labels.count(k) for k in range(1, f.n + 1))
 
 
+def reference_max_gap(f, xs, done):
+    """Largest gap the sorted points x_0 .. x_{done-1} (x_0 alone when
+    done == 0) leave in [0, L)."""
+    visited = sorted(xs[: max(done, 1)])
+    gaps = [visited[0], f.total_length - visited[-1]]
+    gaps += [b - a for a, b in zip(visited, visited[1:])]
+    return max(gaps)
+
+
 @st.composite
 def fiet_and_start_st(draw):
     """An FIET and a start j/29 in [0, L): 29 divides no length denominator."""
@@ -228,6 +237,36 @@ class TestKernelAgainstReference:
             assert r.frequencies == tuple(
                 F(c, done) if done else F(0) for c in counts
             )
+            assert r.max_gap == reference_max_gap(f, xs, done)
+
+    # FLIPPY's flipped left endpoints 0 and 6 are terminal at step 0, and 5
+    # reaches 0 after five steps (5 -> 4 -> 3 -> 2 -> 1 -> 0).
+    @pytest.mark.parametrize("start, steps", [(F(5), 5), (F(6), 0)])
+    def test_birkhoff_max_gap_around_termination(self, start, steps):
+        horizons = (1, 4, 5, 6, 9)
+        xs, labels = reference_orbit(FLIPPY, start, max(horizons))
+        assert len(labels) == steps
+        rep = birkhoff_frequencies(FLIPPY, (start,), horizons)
+        for r in rep.results:
+            done = min(r.horizon, steps)
+            assert r.steps_completed == done
+            assert r.terminated_at == (None if done == r.horizon else steps)
+            assert r.max_gap == reference_max_gap(FLIPPY, xs, done)
+
+    def test_birkhoff_max_gap_of_a_dense_rotation(self):
+        # Gaps finer than the starting grid's cells force a second, finer
+        # walk.  At 15359 and 18553 points the longest gap is unique and lies
+        # inside one cell of the starting grid, so only that walk finds it.
+        f = Fiet(
+            FietCombinatorics(2, (1, 2), (2, 1), frozenset()),
+            (F(1), F(1618033, 1000000)),
+        )
+        horizons = (1000, 15359, 18553, 20000)
+        xs, _ = reference_orbit(f, F(0), max(horizons))
+        rep = birkhoff_frequencies(f, (F(0),), horizons)
+        for r in rep.results:
+            assert r.max_gap == reference_max_gap(f, xs, r.horizon)
+        assert rep.results[-1].max_gap < f.total_length / 4096
 
     @given(fiets_st())
     def test_flipped_left_endpoint_terminates_at_step_zero(self, f):
@@ -256,10 +295,7 @@ class TestKernelAgainstReference:
             assert r.frequencies == tuple(
                 F(c, 2000) for c in label_counts(f, labels)
             )
-            visited = sorted(xs[:2000])
-            gaps = [visited[0], f.total_length - visited[-1]]
-            gaps += [b - a for a, b in zip(visited, visited[1:])]
-            assert r.max_gap == max(gaps)
+            assert r.max_gap == reference_max_gap(f, xs, 2000)
 
 
 class TestFirstReturn:

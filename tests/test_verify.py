@@ -1,5 +1,6 @@
 """Tests for the inequality suites, towers, separation, and simulation."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from fiet import (
     FietCombinatorics,
     ParameterSchedule,
     PathParameters,
+    base_datum,
     birkhoff_frequencies,
     check_lemma1,
     check_lemma2,
@@ -19,6 +21,7 @@ from fiet import (
     frequency_l1_gaps,
     iterate,
     lemma_towers,
+    limit_vectors,
     midpoint_starts,
     normalize,
     oracle_crosscheck,
@@ -296,6 +299,21 @@ class TestBirkhoffFrequencies:
 
     def test_midpoint_starts(self):
         assert midpoint_starts(ROTATION) == (Fraction(1, 2), Fraction(2))
+
+    def test_memory_does_not_grow_with_the_horizon(self):
+        alpha = limit_vectors(ParameterSchedule.relaxed(), 2, family="computed").alpha
+        f = Fiet(base_datum(), alpha)
+        start = midpoint_starts(f)[:1]
+        peaks = []
+        tracemalloc.start()
+        try:
+            for steps in (20_000, 200_000):
+                tracemalloc.reset_peak()
+                birkhoff_frequencies(f, start, steps)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0]
 
     def test_l1_gaps_between_starts(self):
         rep = birkhoff_frequencies(ROTATION, (Fraction(1, 2), Fraction(2)), 1)
