@@ -116,9 +116,11 @@ def theta_gamma_p(
 def cycle_states() -> tuple[FietCombinatorics, ...]:
     """The three combinatorial states visited by consecutive path applications.
 
-    The end state of each application does not depend on the parameter values
-    (every parameterized run fixes the combinatorics after its first step),
-    so the cycle is computed once with all parameters equal to 1.
+    The end state of each application does not depend on the parameter values:
+    at each of the three states, each of the five parameterized runs starts
+    on a state that its own letter fixes, so a run length changes the matrix
+    (col_loser += p * col_winner) and not the state.  The cycle is therefore
+    computed once with all parameters equal to 1.
     """
     t = PathParameters(1, 1, 1, 1, 1)
     s0 = base_datum()

@@ -32,7 +32,7 @@ the case analysis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cache
 from typing import Sequence
 
 from .core import Fiet, FietCombinatorics, FietError
@@ -247,61 +247,6 @@ class RauzyPath:
         return RauzyPath(self.runs * k)
 
 
-def _identity_columns(n: int) -> list[list[int]]:
-    return [[int(i == j) for i in range(n)] for j in range(n)]
-
-
-def _from_columns(cols: list[list[int]]) -> TransitionMatrix:
-    return TransitionMatrix(tuple(zip(*cols)))
-
-
-def _add_column(cols: list[list[int]], winner: int, loser: int, k: int) -> None:
-    """Right-multiply by I + k * e_{winner,loser}: col_loser += k * col_winner."""
-    cols[loser - 1] = [a + k * b for a, b in zip(cols[loser - 1], cols[winner - 1])]
-
-
-def _apply_run(
-    cols: list[list[int]], c0: FietCombinatorics, letter: str, count: int
-) -> FietCombinatorics:
-    """Apply ``count`` steps of one letter to the columns ``cols`` in place.
-
-    Combinatorial states under a fixed letter are eventually periodic.  A
-    state fixed by its own step (the common case inside long runs) finishes
-    the run in one column update, col_loser += remaining * col_winner.  Once a
-    state of a longer cycle repeats, the remaining steps are a power of the
-    cycle's matrix.  Returns the end state.
-    """
-    seen = {c0: 0}
-    states = [c0]
-    steps: list[tuple[int, int]] = []
-    c = c0
-    t = 0
-    while t < count:
-        out = symbolic_step(c, letter)
-        if out.new_comb == c:
-            _add_column(cols, out.winner, out.loser, count - t)
-            return c
-        _add_column(cols, out.winner, out.loser, 1)
-        steps.append((out.winner, out.loser))
-        c = out.new_comb
-        t += 1
-        if c in seen:
-            i = seen[c]
-            q, r = divmod(count - t, t - i)
-            if q:
-                cycle = _identity_columns(c0.n)
-                for winner, loser in steps[i:]:
-                    _add_column(cycle, winner, loser, 1)
-                total = _from_columns(cols) @ _from_columns(cycle).power(q)
-                cols[:] = [list(col) for col in zip(*total.rows)]
-            for winner, loser in steps[i:i + r]:
-                _add_column(cols, winner, loser, 1)
-            return states[i + r]
-        seen[c] = t
-        states.append(c)
-    return c
-
-
 def apply_path(
     c: FietCombinatorics, path: RauzyPath
 ) -> tuple[FietCombinatorics, TransitionMatrix]:
@@ -309,17 +254,41 @@ def apply_path(
 
     The matrix is the ordered product of the step matrices, so
     old lengths = matrix · new lengths across the whole path.  It is kept as
-    one list of integer columns for the whole path: a step with winner w and
-    loser l is the column operation col_l += col_w (O(n), no matrix
-    product), and a run on a state fixed by its own step costs one update,
-    col_l += count · col_w.  Only a run that cycles with period > 1 raises a
-    cycle matrix to a power.
+    one list of integer columns: a step with winner w and loser l is the
+    column operation col_l += col_w (O(n), no matrix product).
+
+    Every run of one letter is threaded by one rule.  The letter rewrites one
+    row only, so the winner, the last label of the other row, is the same at
+    every step of the run.  It never loses, so col_w never changes, and the
+    run adds col_w to each loser's column once per loss, in any order.  The
+    states return to the run's start within n steps: the labels after an
+    unflipped winner rotate, and those after a flipped winner move in front
+    of it one by one until the winner is last in both rows, where the next
+    step raises :class:`KeaneViolation`.  So a run steps through at most one
+    period, collecting its losers, then makes one column update per distinct
+    loser, with q or q + 1 losses from q, r = divmod(count, period), and ends
+    on the period's r-th state.  Steps are memoized per call, since a long
+    path revisits few (state, letter) pairs.
     """
-    cols = _identity_columns(c.n)
-    cur = c
+    step = cache(symbolic_step)
+    cols = [[int(i == j) for i in range(c.n)] for j in range(c.n)]
     for letter, count in path.runs:
-        cur = _apply_run(cols, cur, letter, count)
-    return cur, _from_columns(cols)
+        states, losers = [c], []
+        while len(losers) < count:
+            out = step(states[-1], letter)
+            losers.append(out.loser)
+            if out.new_comb == c:
+                break
+            states.append(out.new_comb)
+        # Back at c, len(states) is the period; a run that ends before it
+        # returns has count < len(states), so q = 0 and r = count.
+        q, r = divmod(count, len(states))
+        col_w = cols[out.winner - 1]
+        for i, loser in enumerate(losers):
+            k = q + (i < r)
+            cols[loser - 1] = [a + k * b for a, b in zip(cols[loser - 1], col_w)]
+        c = states[r]
+    return c, TransitionMatrix(tuple(zip(*cols)))
 
 
 def length_driven_letters(f: Fiet, steps: int) -> tuple[str, ...]:

@@ -545,21 +545,3 @@ def _random_fiet(rng: random.Random) -> Fiet:
         f = Fiet(FietCombinatorics(n, tuple(pi0), tuple(pi1), flips), lengths)
         if f.length_of(pi0[-1]) != f.length_of(pi1[-1]):
             return f
-
-
-def subtractive_steps(a: int, b: int) -> list[tuple[int, int]]:
-    """Trace of the subtractive gcd algorithm: successive (larger-reduced) pairs.
-
-    Oracle for induction on two unflipped swapped intervals, which performs
-    exactly this subtraction until the lengths tie.
-    """
-    if a < 1 or b < 1 or a == b:
-        raise ValueError("need distinct positive integers")
-    trace = []
-    while a != b:
-        if a > b:
-            a = a - b
-        else:
-            b = b - a
-        trace.append((a, b))
-    return trace

@@ -38,3 +38,21 @@ def _steppable(f: Fiet) -> bool:
 
 def steppable_fiets_st(min_n=2, max_n=6):
     return fiets_st(min_n=min_n, max_n=max_n).filter(_steppable)
+
+
+def subtractive_steps(a: int, b: int) -> list[tuple[int, int]]:
+    """Trace of the subtractive gcd algorithm: successive (larger-reduced) pairs.
+
+    Oracle for induction on two unflipped swapped intervals, which performs
+    exactly this subtraction until the lengths tie.
+    """
+    if a < 1 or b < 1 or a == b:
+        raise ValueError("need distinct positive integers")
+    trace = []
+    while a != b:
+        if a > b:
+            a = a - b
+        else:
+            b = b - a
+        trace.append((a, b))
+    return trace

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import subtractive_steps
 from fiet import (
     Fiet,
     FietCombinatorics,
@@ -25,7 +26,6 @@ from fiet import (
     oracle_crosscheck,
     rauzy_step,
     reference_column_sums,
-    subtractive_steps,
     theta_gamma_p,
     verify_all,
 )

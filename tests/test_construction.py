@@ -9,9 +9,11 @@ from fiet import (
     FietCombinatorics,
     ParameterSchedule,
     PathParameters,
+    RauzyPath,
     ResourceLimitError,
     SEED_LABELS,
     TransitionMatrix,
+    apply_path,
     base_datum,
     build_path,
     cycle_states,
@@ -25,6 +27,7 @@ from fiet import (
     reference_column_sums,
     reference_row_sums,
     reference_theta,
+    symbolic_step,
     theta_block,
     theta_copy,
     theta_gamma_p,
@@ -127,6 +130,18 @@ class TestCycleStates:
         for t in FIDELITY_TRIPLES:
             end, _ = theta_gamma_p(t)
             assert end == STATE_1
+
+    def test_parameter_runs_start_on_states_their_letter_fixes(self):
+        # So a parameter run p only adds p * col_winner to col_loser.
+        t = PathParameters(101, 102, 103, 104, 105)
+        for state in cycle_states():
+            parameter_runs = 0
+            for letter, count in build_path(t).runs:
+                if count > 100:
+                    parameter_runs += 1
+                    assert symbolic_step(state, letter).new_comb == state
+                state, _ = apply_path(state, RauzyPath(((letter, count),)))
+            assert parameter_runs == 5
 
     def test_three_applications_return_to_base(self):
         state = base_datum()

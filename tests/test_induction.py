@@ -237,9 +237,9 @@ class TestApplyPath:
         assert end == c
         assert m == TransitionMatrix.elementary_power(2, 2, 1, big)
 
-    # This state's orbit under repeated 'a' steps cycles with period 3, so a
-    # long run exercises the cycle-compression branch (quotient and remainder)
-    # rather than the single-state shortcut.
+    # Under repeated 'a' steps the unflipped winner 1 stays put and the three
+    # labels after it rotate, so the states have period 3 and a long run
+    # needs both the quotient and the remainder of its count by the period.
     CYCLING = FietCombinatorics(4, (1, 2, 3, 4), (4, 3, 2, 1), frozenset({2}))
 
     def test_long_run_on_cycling_states(self):
@@ -349,6 +349,27 @@ def cycle_power_path(c, path):
 irreducible_st = combinatorics_st(max_n=8).filter(is_irreducible)
 
 
+class TestOneLetterRun:
+    """The premise of apply_path's run rule, on reducible combinatorics too."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(combinatorics_st(max_n=8), st.sampled_from("ab"))
+    def test_winner_fixed_and_state_returns_within_n_steps(self, c, letter):
+        cur, winners = c, set()
+        for _ in range(c.n):
+            try:
+                out = symbolic_step(cur, letter)
+            except KeaneViolation:
+                break
+            winners.add(out.winner)
+            cur = out.new_comb
+            if cur == c:
+                break
+        else:
+            pytest.fail(f"{c.n} {letter!r} steps neither returned nor stopped")
+        assert len(winners) <= 1
+
+
 class TestColumnThreading:
     @settings(max_examples=80, deadline=None)
     @given(irreducible_st, st.lists(st.tuples(
@@ -368,7 +389,7 @@ class TestColumnThreading:
         assert apply_path(c, path) == (cur, total)
 
     @settings(max_examples=60, deadline=None)
-    @given(irreducible_st, st.lists(st.tuples(
+    @given(combinatorics_st(max_n=8), st.lists(st.tuples(
         st.sampled_from("ab"), st.integers(1, 10**40)), max_size=5))
     def test_huge_runs_match_cycle_powers(self, c, runs):
         path = RauzyPath(tuple(runs))

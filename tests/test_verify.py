@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import subtractive_steps
 from fiet import (
     Fiet,
     FietCombinatorics,
@@ -25,7 +26,6 @@ from fiet import (
     midpoint_starts,
     normalize,
     oracle_crosscheck,
-    subtractive_steps,
     theta_copy,
     tower_vectors,
     verify_all,
