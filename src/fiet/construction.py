@@ -30,6 +30,7 @@ that move when p4 or p5 moves.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -222,15 +223,15 @@ class ParameterSchedule:
         by_rule = {"p1": p1, "p2": p2, "p3": p3}
         return PathParameters(p1, p2, p3, by_rule[self.p4_rule], by_rule[self.p5_rule])
 
-    def validity(self) -> dict[str, bool]:
+    def validity(self, b: int = 34) -> dict[str, bool]:
         """Each named size condition used by the inequality suite, evaluated
 
-        at its weakest point (copy 1, where the parameters are smallest).
+        at its weakest point (copy 1, where the parameters are smallest),
+        with ``b`` the lower-bound denominator of the lambda2 tower.
         Unmet conditions do not stop any computation; they are reported so a
         run can state exactly which supporting constants its schedule lacks.
         """
         p1, p2, p3 = self.p_triple(1)
-        b = 34
         return {
             "d > 5": self.d > 5,
             "d > 56": self.d > 56,
@@ -276,21 +277,33 @@ def theta_block(
     return total
 
 
+def integer_coordinates(vec: Sequence) -> tuple[tuple[int, ...], int]:
+    """(w, D) with vec = w / D, where D is the lcm of the denominators."""
+    fr = tuple(Fraction(v) for v in vec)
+    den = math.lcm(*(q.denominator for q in fr))
+    return tuple(q.numerator * (den // q.denominator) for q in fr), den
+
+
 def normalize(vec: Sequence) -> tuple[Fraction, ...]:
     """Scale a non-negative, non-zero vector to sum 1 (exact)."""
-    fr = tuple(Fraction(v) for v in vec)
-    if any(v < 0 for v in fr):
+    w, _ = integer_coordinates(vec)
+    if any(e < 0 for e in w):
         raise ValueError("vector has a negative entry")
-    s = sum(fr, Fraction(0))
+    s = sum(w)
     if s == 0:
         raise ValueError("vector is zero")
-    return tuple(v / s for v in fr)
+    return tuple(Fraction(e, s) for e in w)
 
 
 def l1_distance(u: Sequence, v: Sequence) -> Fraction:
     if len(u) != len(v):
         raise ValueError("dimension mismatch")
     return sum((abs(Fraction(a) - Fraction(b)) for a, b in zip(u, v)), Fraction(0))
+
+
+def l1_cross(u: Sequence[int], su: int, v: Sequence[int], sv: int) -> int:
+    """The L1 distance of u/su and v/sv, times su*sv (integers, su, sv > 0)."""
+    return sum(abs(a * sv - b * su) for a, b in zip(u, v))
 
 
 @dataclass(frozen=True)
@@ -348,20 +361,26 @@ def limit_vectors(
 def _report_from_product(
     total: TransitionMatrix, m: int, family: str, v: Sequence
 ) -> LimitReport:
-    cols = [normalize(total.column(j)) for j in range(1, N_LABELS + 1)]
-    diameter = max(
-        l1_distance(cols[i], cols[j])
-        for i in range(N_LABELS)
-        for j in range(i + 1, N_LABELS)
-    )
+    cols = [total.column(j) for j in range(1, N_LABELS + 1)]
+    sums = total.column_sums()
+    # L1(c_i/s_i, c_j/s_j) = n / (s_i*s_j) with n = l1_cross(...); the pairs
+    # are compared by cross-multiplying, and only the largest becomes a Fraction.
+    best_num, best_den = 0, 1
+    for i in range(N_LABELS):
+        for j in range(i + 1, N_LABELS):
+            num = l1_cross(cols[i], sums[i], cols[j], sums[j])
+            den = sums[i] * sums[j]
+            if num * best_den > best_num * den:
+                best_num, best_den = num, den
+    w, _ = integer_coordinates(v)
     return LimitReport(
         m=m,
         family=family,
-        lambda2=cols[1],
-        lambda5=cols[4],
-        lambda7=cols[6],
-        alpha=normalize(total.mat_vec(tuple(Fraction(x) for x in v))),
-        contraction_diameter=diameter,
+        lambda2=normalize(cols[1]),
+        lambda5=normalize(cols[4]),
+        lambda7=normalize(cols[6]),
+        alpha=normalize(total.mat_vec(w)),
+        contraction_diameter=Fraction(best_num, best_den),
     )
 
 

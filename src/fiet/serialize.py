@@ -129,13 +129,14 @@ def step_outcome_to_dict(out: StepOutcome) -> dict:
     }
 
 
-def record_to_dict(r: InequalityRecord) -> dict:
+def record_to_dict(r: InequalityRecord, fraction=format_fraction) -> dict:
+    """JSON-ready record; ``fraction`` renders its three exact values."""
     return {
         "lemma": r.lemma_id,
         "item": r.item,
-        "lhs": format_fraction(r.lhs),
-        "rhs": format_fraction(r.rhs),
-        "margin": format_fraction(r.margin),
+        "lhs": fraction(r.lhs),
+        "rhs": fraction(r.rhs),
+        "margin": fraction(r.margin),
         "holds": r.holds,
         "strict": r.strict,
     }
@@ -193,15 +194,31 @@ def limit_report_to_dict(rep: LimitReport, precision: int = 12) -> dict:
 
 
 def verify_report_to_dict(report: dict, precision: int = 12) -> dict:
-    """JSON-ready form of the dict produced by verify.verify_all."""
+    """JSON-ready form of the dict produced by verify.verify_all.
+
+    A report repeats its integers (a level's total is the denominator of
+    most of its values), so each distinct integer is converted to decimal
+    once, through a memo that lives for this call only.
+    """
+    digits: dict[int, str] = {}
+
+    def fraction(q: Fraction) -> str:
+        for n in (q.numerator, q.denominator):
+            if n not in digits:
+                digits[n] = int_to_str(n)
+        return f"{digits[q.numerator]}/{digits[q.denominator]}"
+
+    def records(recs) -> list[dict]:
+        return [record_to_dict(r, fraction) for r in recs]
+
     towers = {}
     for key in ("lambda7", "lambda5", "lambda2"):
         towers[key] = {
-            str(level): [record_to_dict(r) for r in recs]
+            str(level): records(recs)
             for level, recs in report["towers"][key].items()
         }
     vectors = {
-        key: vector_to_strs(vec)
+        key: [fraction(q) for q in vec]
         for key, vec in report["towers"]["vectors"].items()
     }
     out = {
@@ -212,9 +229,9 @@ def verify_report_to_dict(report: dict, precision: int = 12) -> dict:
         "checked_levels": list(report["checked_levels"]),
         "towers": towers,
         "level1_vectors": vectors,
-        "separation": [record_to_dict(r) for r in report["separation"]],
+        "separation": records(report["separation"]),
         "records_total": report["records_total"],
-        "records_failing": [record_to_dict(r) for r in report["records_failing"]],
+        "records_failing": records(report["records_failing"]),
         "passed": report["passed"],
     }
     if "matrix_fidelity" in report:

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface via ``main(argv)``."""
 
+import hashlib
 import io
 import json
 import sys
@@ -350,6 +351,34 @@ class TestVerify:
     def test_verify_byte_reproducible(self, capsys):
         args = ["verify", "--mode", "relaxed", "--depth", "1"]
         assert run(capsys, args) == run(capsys, args)
+
+    def test_validity_is_evaluated_at_the_runs_b(self, capsys):
+        code, out, _ = run(capsys, ["verify", "--depth", "1", "--d", "2",
+                                    "--p1", "20", "--b", "2000"])
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["validity"]["(b-33)*(p3-49) > 33*49"] is True
+        size = [r for r in payload["towers"]["lambda2"]["1"]
+                if r["item"] == "(b-33)*(p3-49) > 33*49, b=2000"]
+        assert size[0]["holds"] is True
+        assert size[0]["margin"] == "59360/1"
+
+
+class TestOutputPins:
+    """SHA-256 of the whole stdout: every printed number and key, byte for byte."""
+
+    @pytest.mark.parametrize("args,digest", [
+        ("verify --mode relaxed --depth 3",
+         "6fd0a3942643c53ba60376826c1116e60a882f94296e0f94f652621d05677c80"),
+        ("verify --mode strict --depth 2",
+         "80e8ceae0f569d41fffcef756f62e8e3cd5dbb0441d92e204fd1bb266f3cf2fb"),
+        ("construct --depth 3",
+         "7049c9a244703f9584401abf1cab7bb43f5c17fd395116310daf17ef5290d57d"),
+    ], ids=["verify-relaxed-3", "verify-strict-2", "construct-3"])
+    def test_stdout_digest(self, capsys, args, digest):
+        code, out, _ = run(capsys, args.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 class TestSimulate:

@@ -4,11 +4,14 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import subtractive_steps
 from fiet import (
     Fiet,
     FietCombinatorics,
+    InequalityRecord,
     ParameterSchedule,
     PathParameters,
     base_datum,
@@ -21,11 +24,14 @@ from fiet import (
     checked_levels,
     frequency_l1_gaps,
     iterate,
+    l1_distance,
     lemma_towers,
     limit_vectors,
     midpoint_starts,
     normalize,
     oracle_crosscheck,
+    reference_column_sums,
+    theta_block,
     theta_copy,
     tower_vectors,
     verify_all,
@@ -138,6 +144,155 @@ class TestDominationAndLowerBound:
         assert all(r.holds for r in recs)
 
 
+class TestIntegerInput:
+    @pytest.mark.parametrize("w", [(0,) * 8, (1, -1, 0, 0, 0, 0, 0, 1)])
+    def test_integer_vector_must_be_non_negative_and_non_zero(self, w):
+        with pytest.raises(ValueError):
+            check_lemma4(w)
+
+
+def _reference_record(lemma_id, item, lhs, rhs, strict=True):
+    """Reference record: lhs, rhs and margin by Fraction arithmetic."""
+    lhs, rhs = Fraction(lhs), Fraction(rhs)
+    margin = lhs - rhs
+    holds = margin > 0 if strict else margin >= 0
+    return InequalityRecord(lemma_id, item, lhs, rhs, margin, holds, strict)
+
+
+def _reference_lemmas(v, t, c, b):
+    """check_lemma1..4 on a simplex vector, evaluated on Fractions."""
+    rec = _reference_record
+    x1, x2, x3, x4, x5, x6, x7, x8 = v
+    growth = sum(k * e for k, e in zip(reference_column_sums(t), v))
+    lemma1 = [
+        rec("L1", "x7 > 1/7", x7, Fraction(1, 7)),
+        rec("L1", "2*x7 > x1", 2 * x7, x1),
+        rec("L1", "2*x7 > x4", 2 * x7, x4),
+        rec("L1", "2*x7 > x8", 2 * x7, x8),
+        rec("L1", "4*x7 > x3", 4 * x7, x3),
+        rec("L1", "x7 > x5", x7, x5),
+        rec("L1", "x5 < 1/10", Fraction(1, 10), x5),
+        rec("L1", "x6 > x2", x6, x2),
+        rec("L1", "x3 > x7", x3, x7),
+        rec("L1", "x2 < 1/p1", Fraction(1, t.p1), x2),
+        rec("L1", "growth > p2/2", growth, Fraction(t.p2, 2)),
+        rec("L1", "growth > 2*p1", growth, 2 * t.p1),
+    ]
+    lemma2 = [
+        rec("L2", "x5 > 1/4", x5, Fraction(1, 4)),
+        rec("L2", "2*x3 > x1", 2 * x3, x1),
+        rec("L2", "x3 + x5 > x1", x3 + x5, x1),
+        rec("L2", "3*x6 + x7 > x4", 3 * x6 + x7, x4),
+        rec("L2", "x6 + x7 >= x8", x6 + x7, x8, strict=False),
+        rec("L2", "x2 < 1/p1", Fraction(1, t.p1), x2),
+        rec("L2", "x6 < 7/p1", Fraction(7, t.p1), x6),
+        rec("L2", "x7 < 1/p1", Fraction(1, t.p1), x7),
+        rec("L2", "x8 < 22/p1", Fraction(22, t.p1), x8),
+        rec("L2", "x8 < 8/p1", Fraction(8, t.p1), x8),
+        rec("L2", "x4 < 22/p1", Fraction(22, t.p1), x4),
+        rec("L2", "growth > p1", growth, t.p1),
+    ]
+    lemma3 = [
+        rec("L3", f"{c}*x2 > x{i}", c * x2, v[i - 1]) for i in (1, 3, 4, 5, 6, 7, 8)
+    ] + [rec("L3", "p3 > 2*p1 + 4*p2 + 61", t.p3, 2 * t.p1 + 4 * t.p2 + 61)]
+    lemma4 = [
+        rec("L4", f"x2 > 1/{b}", x2, Fraction(1, b)),
+        rec("L4", f"(b-33)*(p3-49) > 33*49, b={b}", (b - 33) * (t.p3 - 49), 33 * 49),
+    ]
+    return lemma1, lemma2, lemma3, lemma4
+
+
+def _reference_separation(v2, v5, v7, t):
+    """check_separation on simplex vectors, evaluated on Fractions."""
+    rec = _reference_record
+    one = Fraction(1)
+    p1 = t.p1
+    s75 = (one - v5[6]) + v7[6]
+    s57 = (one - v7[4]) + v5[4]
+    s27 = (one - v7[1]) + v2[1]
+    s25 = (one - v5[1]) + v2[1]
+    b75 = (one - Fraction(1, p1)) + Fraction(1, 7)
+    b57 = Fraction(9, 10) + Fraction(1, 4)
+    b2x = (one - Fraction(1, p1)) + Fraction(1, 34)
+    return [
+        rec("SEP", "(1 - x7(l5)) + x7(l7) > 1", s75, one),
+        rec("SEP", "(1 - x5(l7)) + x5(l5) > 1", s57, one),
+        rec("SEP", "(1 - x2(l7)) + x2(l2) > 1", s27, one),
+        rec("SEP", "(1 - x2(l5)) + x2(l2) > 1", s25, one),
+        rec("SEP", "(1 - x7(l5)) + x7(l7) > (1 - 1/p1) + 1/7", s75, b75),
+        rec("SEP", "(1 - x5(l7)) + x5(l5) > 9/10 + 1/4", s57, b57),
+        rec("SEP", "(1 - x2(l7)) + x2(l2) > (1 - 1/p1) + 1/34", s27, b2x),
+        rec("SEP", "(1 - x2(l5)) + x2(l2) > (1 - 1/p1) + 1/34", s25, b2x),
+        rec("SEP", "L1(l5, l7) > 1/7 - 1/p1",
+            l1_distance(v5, v7), Fraction(1, 7) - Fraction(1, p1)),
+        rec("SEP", "L1(l5, l7) > 1/4 - 1/10",
+            l1_distance(v5, v7), Fraction(1, 4) - Fraction(1, 10)),
+        rec("SEP", "L1(l2, l7) > 1/34 - 1/p1",
+            l1_distance(v2, v7), Fraction(1, 34) - Fraction(1, p1)),
+        rec("SEP", "L1(l2, l5) > 1/34 - 1/p1",
+            l1_distance(v2, v5), Fraction(1, 34) - Fraction(1, p1)),
+    ]
+
+
+# Small coordinates make ties (zero margins) likely; large ones exercise bigints.
+coordinate_st = st.one_of(st.integers(0, 6), st.integers(0, 2**200))
+integer_vector_st = st.lists(coordinate_st, min_size=8, max_size=8).filter(any)
+path_parameters_st = st.builds(
+    PathParameters, *(st.integers(1, 10**6) for _ in range(5))
+)
+
+
+def _simplex(w):
+    return tuple(Fraction(e, sum(w)) for e in w)
+
+
+def _assert_same_records(got, expected):
+    assert got == expected
+    for r in got:
+        assert all(isinstance(q, Fraction) for q in (r.lhs, r.rhs, r.margin))
+        assert isinstance(r.holds, bool)
+
+
+class TestIntegerRecordsMatchFractionReference:
+    @settings(max_examples=150, deadline=None)
+    @given(integer_vector_st, path_parameters_st,
+           st.integers(11, 40), st.integers(34, 2000))
+    def test_lemma_records(self, w, t, c, b):
+        expected = _reference_lemmas(_simplex(w), t, c, b)
+        for x in (tuple(w), _simplex(w)):
+            got = (
+                check_lemma1(x, t),
+                check_lemma2(x, t),
+                check_lemma3(x, c, t),
+                check_lemma4(x, b, t),
+            )
+            for g, e in zip(got, expected):
+                _assert_same_records(g, e)
+
+    @settings(max_examples=150, deadline=None)
+    @given(integer_vector_st, integer_vector_st, integer_vector_st,
+           path_parameters_st)
+    def test_separation_records(self, w2, w5, w7, t):
+        expected = _reference_separation(_simplex(w2), _simplex(w5), _simplex(w7), t)
+        _assert_same_records(check_separation(w2, w5, w7, t), expected)
+        _assert_same_records(
+            check_separation(_simplex(w2), _simplex(w5), _simplex(w7), t), expected
+        )
+
+    @pytest.mark.parametrize("family", ["reference", "computed"])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_contraction_diameter_is_the_largest_column_distance(self, m, family):
+        schedule = ParameterSchedule.relaxed()
+        total = theta_block(schedule, 1, family)
+        for i in range(2, m + 1):
+            total = total @ theta_block(schedule, i, family)
+        cols = [normalize(total.column(j)) for j in range(1, 9)]
+        expected = max(
+            l1_distance(cols[i], cols[j]) for i in range(8) for j in range(i + 1, 8)
+        )
+        assert limit_vectors(schedule, m, family).contraction_diameter == expected
+
+
 class TestTowers:
     def test_tower_levels_and_seed(self):
         levels = tower_vectors(SMALL, seed=7, copies=3)
@@ -235,6 +390,13 @@ class TestVerifyAll:
         sabotaged = ParameterSchedule(d=128, p1_1=10)
         rep = verify_all(sabotaged, 1)
         assert rep["validity"]["p1 > 45"] is False
+
+    def test_validity_uses_the_runs_b(self):
+        # p3 = 80 at copy 1: (2000-33)*(80-49) = 60977 > 33*49, but 1*31 < 33*49.
+        schedule = ParameterSchedule(d=2, p1_1=20)
+        key = "(b-33)*(p3-49) > 33*49"
+        assert verify_all(schedule, 1, b=2000)["validity"][key] is True
+        assert verify_all(schedule, 1)["validity"][key] is False
 
     def test_matrix_report_can_be_skipped(self):
         rep = verify_all(ParameterSchedule.relaxed(), 1, include_matrix_report=False)
