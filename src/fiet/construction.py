@@ -6,26 +6,19 @@ parameter-length runs) returns the combinatorics to a state from which the
 same path applies again; three consecutive applications return it exactly to
 the base state, so blocks of three form a closed renormalization scheme.
 
-Two matrix families live here:
+At each of the three states the path's matrix is one copy polynomial in
+p1..p5, derived once per process by :func:`copy_polynomial`.  That function
+checks that each parameter run starts on a state its letter fixes, so the
+end state does not depend on the parameters and the matrix is multilinear,
+with nine terms: 1, p1..p5, p1*p2, p1*p3 and p4*p5.
 
-* the **computed** family: the transition matrices actually produced by
-  threading the path through the combinatorics.  These drive the dynamics —
-  length vectors built from their cone make length-driven induction follow
-  the path letter for letter — and are the family used for limit lengths,
-  simulation, and contraction measurements.
-* the **reference** family: a closed-form integer matrix in (p1, p2, p3)
-  whose column sums equal the eight per-coordinate expansion coefficients
-  used by the inequality suite in :mod:`fiet.verify`, and whose row and
-  column sums satisfy the identities recorded there.  The verification
-  towers consume this family by default.
-
-The two families agree on everything the combinatorics pins down (they are
-driven by the same path data) but differ entry-wise; in particular the
-computed matrices depend on the run lengths p4 and p5 while the reference
-family does not.  :func:`matrix_fidelity_report` measures the discrepancy
-exactly rather than hiding it: it reports the differing entries, both
-families' column sums, and the exact set of entries of the computed matrix
-that move when p4 or p5 moves.
+Two matrix families live here.  The **computed** family evaluates the copy
+polynomials; its cone drives length-driven induction along the path letter
+for letter, and it gives the limit lengths, simulation and contraction.  The
+**reference** family is a closed-form matrix in (p1, p2, p3) whose column
+sums are the eight expansion coefficients of the inequality suite in
+:mod:`fiet.verify`, which uses it by default.  The families differ
+entry-wise; :func:`matrix_fidelity_report` reports how, exactly.
 """
 
 from __future__ import annotations
@@ -34,10 +27,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence
+from types import MappingProxyType
+from typing import Mapping, Optional, Sequence
 
-from .core import FietCombinatorics, FietError
-from .induction import RauzyPath, TransitionMatrix, apply_path
+from .core import FietCombinatorics, FietError, exact_int
+from .induction import RauzyPath, TransitionMatrix, apply_path, symbolic_step
 
 N_LABELS = 8
 BASE_PI0 = (1, 2, 3, 4, 5, 6, 7, 8)
@@ -85,25 +79,23 @@ class PathParameters:
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
 
 
+# The induction word as (letter, count) runs; a str count names a parameter.
+PATH_RUNS = (
+    ("a", 4), ("b", 2), ("a", 1), ("b", 2), ("a", 1), ("b", 1), ("a", "p1"),
+    ("b", 1), ("a", 1), ("b", "p2"), ("a", 1), ("b", 2), ("a", "p3"),
+    ("b", 1), ("a", 4), ("b", "p4"), ("a", 1), ("b", 2), ("a", 1), ("b", 2),
+    ("a", "p5"), ("b", 2), ("a", 1),
+)
+
+
 def build_path(t: PathParameters) -> RauzyPath:
     """The parameterized induction word, run-length encoded.
 
     Expanded, it reads ``aaaabbabbab a^p1 ba b^p2 abb a^p3 baaaa b^p4
     abbabb a^p5 bba`` (30 fixed letters plus the five parameter runs).
     """
-    return RauzyPath((
-        ("a", 4), ("b", 2), ("a", 1), ("b", 2), ("a", 1), ("b", 1),
-        ("a", t.p1),
-        ("b", 1), ("a", 1),
-        ("b", t.p2),
-        ("a", 1), ("b", 2),
-        ("a", t.p3),
-        ("b", 1), ("a", 4),
-        ("b", t.p4),
-        ("a", 1), ("b", 2), ("a", 1), ("b", 2),
-        ("a", t.p5),
-        ("b", 2), ("a", 1),
-    ))
+    return RauzyPath(tuple((letter, getattr(t, run) if isinstance(run, str) else run)
+                           for letter, run in PATH_RUNS))
 
 
 def theta_gamma_p(
@@ -113,26 +105,54 @@ def theta_gamma_p(
     return apply_path(start if start is not None else base_datum(), build_path(t))
 
 
+@lru_cache(maxsize=COPIES_PER_BLOCK)
+def copy_polynomial(start: FietCombinatorics) -> tuple[FietCombinatorics, Mapping]:
+    """The path from ``start`` with p1..p5 as symbols: (end state, matrix).
+
+    The matrix maps each monomial (a sorted tuple of parameter names) to its
+    non-zero integer coefficient columns.  A fixed letter is col_l += col_w in
+    every term; a parameter run p is one step col_l += p * col_w.
+    """
+    n = N_LABELS
+    poly = {(): [[int(i == j) for i in range(n)] for j in range(n)]}
+    state = start
+    for letter, run in PATH_RUNS:
+        fixed = isinstance(run, int)
+        for _ in range(run if fixed else 1):
+            out = symbolic_step(state, letter)
+            if not fixed and out.new_comb != state:
+                raise ConstructionBrokenError(f"run {run} starts on a state it moves")
+            w, l = out.winner - 1, out.loser - 1
+            for mono, cols in list(poly.items()):
+                if any(cols[w]):
+                    key = mono if fixed else tuple(sorted(mono + (run,)))
+                    term = poly.setdefault(key, [[0] * n for _ in range(n)])
+                    term[l] = [a + b for a, b in zip(term[l], cols[w])]
+            state = out.new_comb
+    return state, MappingProxyType({m: tuple(map(tuple, c)) for m, c in poly.items()})
+
+
+def polynomial_at(poly: Mapping, t: PathParameters) -> TransitionMatrix:
+    """The matrix of a copy polynomial evaluated at the run lengths ``t``."""
+    terms = [(math.prod(getattr(t, p) for p in m), cols) for m, cols in poly.items()]
+    return TransitionMatrix(tuple(
+        tuple(sum(c * cols[j][i] for c, cols in terms) for j in range(N_LABELS))
+        for i in range(N_LABELS)
+    ))
+
+
 @lru_cache(maxsize=1)
 def cycle_states() -> tuple[FietCombinatorics, ...]:
-    """The three combinatorial states visited by consecutive path applications.
+    """The three states visited by consecutive path applications.
 
-    The end state of each application does not depend on the parameter values:
-    at each of the three states, each of the five parameterized runs starts
-    on a state that its own letter fixes, so a run length changes the matrix
-    (col_loser += p * col_winner) and not the state.  The cycle is therefore
-    computed once with all parameters equal to 1.
-    """
-    t = PathParameters(1, 1, 1, 1, 1)
-    s0 = base_datum()
-    s1, _ = theta_gamma_p(t, s0)
-    s2, _ = theta_gamma_p(t, s1)
-    s3, _ = theta_gamma_p(t, s2)
-    if s3 != s0:
-        raise ConstructionBrokenError(
-            "three path applications did not return to the base state"
-        )
-    return (s0, s1, s2)
+    Each is the end state of the previous one's nine-term copy polynomial, whose
+    derivation checks that each parameter run starts on a state it fixes."""
+    states = [base_datum()]
+    for _ in range(COPIES_PER_BLOCK):
+        states.append(copy_polynomial(states[-1])[0])
+    if states.pop() != states[0]:
+        raise ConstructionBrokenError("three copies did not return to the base state")
+    return tuple(states)
 
 
 def reference_theta(t: PathParameters) -> TransitionMatrix:
@@ -176,6 +196,13 @@ def reference_row_sums(t: PathParameters) -> tuple[int, ...]:
     )
 
 
+# The named schedules: each label's own d, p1_1 and rules.
+NAMED_SCHEDULES = {
+    "relaxed": {"d": 128, "p1_1": 256, "p4_rule": "p2", "p5_rule": "p1"},
+    "strict": {"d": 125001, "p1_1": 125002, "p4_rule": "p2", "p5_rule": "p1"},
+}
+
+
 @dataclass(frozen=True)
 class ParameterSchedule:
     """Geometric growth schedule for the per-copy parameters.
@@ -184,6 +211,8 @@ class ParameterSchedule:
     so consecutive copies satisfy p1^(j+1) = d * p3^(j).  The runs p4 and p5
     are tied to the others by ``p4_rule`` / ``p5_rule`` (one of "p1", "p2",
     "p3"); they influence the dynamics but not the reference matrices.
+    ``mode`` is "custom" or the name of the :data:`NAMED_SCHEDULES` entry
+    whose values the schedule has.
     """
 
     d: int
@@ -193,6 +222,8 @@ class ParameterSchedule:
     mode: str = "custom"
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "d", exact_int(self.d, "d"))
+        object.__setattr__(self, "p1_1", exact_int(self.p1_1, "p1_1"))
         if self.d < 2:
             raise ValueError("d must be >= 2")
         if self.p1_1 < 1:
@@ -200,16 +231,22 @@ class ParameterSchedule:
         for name in ("p4_rule", "p5_rule"):
             if getattr(self, name) not in ("p1", "p2", "p3"):
                 raise ValueError(f"{name} must be one of 'p1', 'p2', 'p3'")
+        values = {k: getattr(self, k) for k in ("d", "p1_1", "p4_rule", "p5_rule")}
+        if self.mode != "custom" and NAMED_SCHEDULES.get(self.mode) != values:
+            raise ValueError(
+                f"mode must be 'custom', or a name in {sorted(NAMED_SCHEDULES)} "
+                f"with that schedule's values; got {self.mode!r} with {values}"
+            )
 
     @classmethod
     def relaxed(cls) -> "ParameterSchedule":
         """Small parameters: fast exact runs; two size conditions unmet (reported)."""
-        return cls(d=128, p1_1=256, mode="relaxed")
+        return cls(**NAMED_SCHEDULES["relaxed"], mode="relaxed")
 
     @classmethod
     def strict(cls) -> "ParameterSchedule":
         """Parameters satisfying every recorded size condition, d > 50**3."""
-        return cls(d=125001, p1_1=125002, mode="strict")
+        return cls(**NAMED_SCHEDULES["strict"], mode="strict")
 
     def p_triple(self, j: int) -> tuple[int, int, int]:
         """(p1, p2, p3) for copy j (1-based)."""
@@ -257,11 +294,7 @@ def theta_copy(
     if family != "computed":
         raise ValueError(f"family must be 'computed' or 'reference', got {family!r}")
     start = cycle_states()[(j - 1) % COPIES_PER_BLOCK]
-    end, matrix = theta_gamma_p(t, start)
-    expected = cycle_states()[j % COPIES_PER_BLOCK]
-    if end != expected:
-        raise ConstructionBrokenError(f"copy {j} did not land on the expected state")
-    return matrix
+    return polynomial_at(copy_polynomial(start)[1], t)
 
 
 def theta_block(
@@ -391,38 +424,25 @@ _DEFAULT_FIDELITY_PARAMS = (
 )
 
 
-def parameter_dependence(
-    base: PathParameters, which: str, start: Optional[FietCombinatorics] = None
-) -> tuple[tuple[int, int], ...]:
-    """Entries (row, col), 1-based, of the computed matrix that move with p4 or p5."""
-    if which not in ("p4", "p5"):
-        raise ValueError("which must be 'p4' or 'p5'")
-    _, m0 = theta_gamma_p(base, start)
-    bumped = {f"p{k}": getattr(base, f"p{k}") for k in range(1, 6)}
-    bumped[which] += 1
-    _, m1 = theta_gamma_p(PathParameters(**bumped), start)
-    return tuple(
-        (i + 1, j + 1)
-        for i in range(N_LABELS)
-        for j in range(N_LABELS)
-        if m0.rows[i][j] != m1.rows[i][j]
-    )
-
-
 def matrix_fidelity_report(
     params_list: Sequence[PathParameters] = _DEFAULT_FIDELITY_PARAMS,
 ) -> dict:
     """Exact comparison of the computed and reference families, per parameter set.
 
-    For each parameter set (threaded from the base state) the report carries
-    both matrices, whether they agree entry-wise, the differing entries, both
-    column-sum vectors, whether the reference column sums match their
-    closed-form coefficient formulas, and the exact entries of the computed
-    matrix that depend on p4 and on p5.
+    For each parameter set (from the base state) the report carries both
+    matrices, whether they agree entry-wise, the differing entries, both
+    column-sum vectors, whether the reference column and row sums match their
+    closed-form formulas, and the computed entries that move with p4 and with
+    p5: those with a p4 (p5) term in the non-negative copy polynomial.
     """
+    end, poly = copy_polynomial(base_datum())
+    dependent = {p: tuple(
+        (i + 1, j + 1) for i in range(N_LABELS) for j in range(N_LABELS)
+        if any(cols[j][i] for mono, cols in poly.items() if p in mono)
+    ) for p in ("p4", "p5")}
     cases = []
     for t in params_list:
-        end, computed = theta_gamma_p(t)
+        computed = polynomial_at(poly, t)
         reference = reference_theta(t)
         diffs = tuple(
             (i + 1, j + 1, computed.rows[i][j], reference.rows[i][j])
@@ -443,13 +463,12 @@ def matrix_fidelity_report(
                 reference.column_sums() == reference_column_sums(t),
             "reference_row_sums_match_formula":
                 reference.row_sums() == reference_row_sums(t),
-            "p4_dependent_entries": parameter_dependence(t, "p4"),
-            "p5_dependent_entries": parameter_dependence(t, "p5"),
+            "p4_dependent_entries": dependent["p4"],
+            "p5_dependent_entries": dependent["p5"],
         })
-    all_entrywise = all(c["entrywise_equal"] for c in cases)
     return {
         "cases": cases,
-        "entrywise_equal": all_entrywise,
+        "entrywise_equal": all(c["entrywise_equal"] for c in cases),
         "reference_identities_hold": all(
             c["reference_column_sums_match_formula"]
             and c["reference_row_sums_match_formula"]

@@ -63,16 +63,24 @@ class OracleInapplicable(FietError):
     """first_return could not represent the return map as an n-interval FIET."""
 
 
+def exact_int(v, name: str) -> int:
+    """``v`` as an int; raises ValueError unless its value is an integer."""
+    i = int(v)
+    if i != v:
+        raise ValueError(f"{name} must be an integer, got {v!r}")
+    return i
+
+
 def _check_permutation(
     images: Sequence[int], labels: set[int], name: str
 ) -> tuple[int, ...]:
-    """``images`` as a tuple of ints; raises unless it orders ``labels`` = {1..n}."""
-    images = tuple(map(int, images))
+    """``images`` as a tuple of ints; raises unless its values order ``labels``."""
+    images = tuple(images)
     if len(images) != len(labels) or set(images) != labels:
         raise ValueError(
             f"{name} must be a permutation of 1..{len(labels)}, got {images}"
         )
-    return images
+    return tuple(map(int, images))
 
 
 @dataclass(frozen=True)
@@ -90,9 +98,10 @@ class FietCombinatorics:
         labels = set(range(1, self.n + 1))
         object.__setattr__(self, "pi0", _check_permutation(self.pi0, labels, "pi0"))
         object.__setattr__(self, "pi1", _check_permutation(self.pi1, labels, "pi1"))
-        object.__setattr__(self, "flips", frozenset(map(int, self.flips)))
-        if not self.flips <= labels:
-            raise ValueError(f"flips {set(self.flips)} not a subset of 1..{self.n}")
+        flips = frozenset(self.flips)
+        if not flips <= labels:
+            raise ValueError(f"flips {set(flips)} not a subset of 1..{self.n}")
+        object.__setattr__(self, "flips", frozenset(map(int, flips)))
 
     @property
     def rightmost_domain_label(self) -> int:

@@ -14,8 +14,8 @@ import sys
 from fractions import Fraction
 from typing import Sequence
 
-from .core import Fiet, FietCombinatorics
-from .construction import LimitReport, ParameterSchedule
+from .core import Fiet, FietCombinatorics, exact_int
+from .construction import NAMED_SCHEDULES, LimitReport, ParameterSchedule
 from .induction import StepOutcome, TransitionMatrix
 from .verify import FrequencyReport, InequalityRecord
 
@@ -95,7 +95,7 @@ def comb_to_dict(c: FietCombinatorics) -> dict:
 
 def comb_from_dict(d: dict) -> FietCombinatorics:
     return FietCombinatorics(
-        int(d["n"]),
+        exact_int(d["n"], "n"),
         tuple(d["pi0"]),
         tuple(d["pi1"]),
         frozenset(d.get("flips", ())),
@@ -156,8 +156,8 @@ def schedule_from_dict(d: dict) -> ParameterSchedule:
     if "mode" in d and set(d) <= {"mode"}:
         return named_schedule(d["mode"])
     return ParameterSchedule(
-        d=int(d["d"]),
-        p1_1=int(d["p1_1"]),
+        d=d["d"],
+        p1_1=d["p1_1"],
         p4_rule=d.get("p4_rule", "p2"),
         p5_rule=d.get("p5_rule", "p1"),
         mode=d.get("mode", "custom"),
@@ -165,11 +165,9 @@ def schedule_from_dict(d: dict) -> ParameterSchedule:
 
 
 def named_schedule(mode: str) -> ParameterSchedule:
-    if mode == "relaxed":
-        return ParameterSchedule.relaxed()
-    if mode == "strict":
-        return ParameterSchedule.strict()
-    raise ValueError(f"unknown schedule mode {mode!r}")
+    if mode not in NAMED_SCHEDULES:
+        raise ValueError(f"unknown schedule mode {mode!r}")
+    return ParameterSchedule(**NAMED_SCHEDULES[mode], mode=mode)
 
 
 def limit_report_to_dict(rep: LimitReport, precision: int = 12) -> dict:

@@ -352,6 +352,13 @@ class TestVerify:
         args = ["verify", "--mode", "relaxed", "--depth", "1"]
         assert run(capsys, args) == run(capsys, args)
 
+    def test_config_with_the_strict_values_is_strict(self, capsys, tmp_path):
+        cfg = write_json(tmp_path, "s.json",
+                         {"d": 125001, "p1_1": 125002, "mode": "strict"})
+        from_config = run(capsys, ["verify", "--config", cfg, "--depth", "1"])
+        assert from_config == run(capsys, ["verify", "--mode", "strict", "--depth", "1"])
+        assert from_config[0] == 0
+
     def test_validity_is_evaluated_at_the_runs_b(self, capsys):
         code, out, _ = run(capsys, ["verify", "--depth", "1", "--d", "2",
                                     "--p1", "20", "--b", "2000"])
@@ -523,11 +530,19 @@ class TestInputErrors:
          {"alpha": {"exact": ["0/1"] + ["1/7"] * 7}}),
         (["path", "--in", "FILE", "--word", "ab"],
          dict(comb_to_dict(base_datum()), n=float("inf"))),
+        (["step", "--in", "FILE"], dict(TestStep.RIGGED, pi0=[1.9] + list(range(2, 9)))),
+        (["step", "--in", "FILE"], dict(TestStep.RIGGED, flips=[2.2])),
+        (["path", "--in", "FILE", "--word", "ab"], dict(comb_to_dict(base_datum()), n=8.7)),
+        (["construct", "--config", "FILE"], {"d": 128.9, "p1_1": 256.5}),
+        (["verify", "--config", "FILE"], {"d": 128, "p1_1": 256, "mode": "strict"}),
+        (["verify", "--config", "FILE"], {"d": 128, "p1_1": 256, "mode": "banana"}),
     ], ids=[
         "construct-d-1", "verify-d-1", "simulate-d-1", "construct-p1-0",
         "config-list", "config-string", "config-number", "verify-c-10",
         "verify-b-33", "step-zero-denominator", "alpha-zero-denominator",
         "alpha-seven-entries", "alpha-zero-entry", "path-infinite-n",
+        "step-float-label", "step-float-flip", "path-float-n", "config-float-d",
+        "config-mislabelled-strict", "config-unknown-mode",
     ])
     def test_bad_input_exits_two(self, capsys, tmp_path, argv, data):
         if data is not None:

@@ -3,8 +3,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fiet import (
+    ConstructionBrokenError,
     Fiet,
     FietCombinatorics,
     ParameterSchedule,
@@ -23,7 +26,6 @@ from fiet import (
     limit_vectors,
     matrix_fidelity_report,
     normalize,
-    parameter_dependence,
     reference_column_sums,
     reference_row_sums,
     reference_theta,
@@ -32,6 +34,7 @@ from fiet import (
     theta_copy,
     theta_gamma_p,
 )
+from fiet.construction import PATH_RUNS, copy_polynomial, polynomial_at
 
 ONES = PathParameters(1, 1, 1, 1, 1)
 
@@ -75,6 +78,31 @@ P4_ENTRIES = tuple(
 P5_ENTRIES = tuple(
     (i, j) for i in (1, 2, 3, 4, 8) for j in (1, 4, 8)
 )
+
+# Monomials of the copy polynomial at each cycle state.
+NINE_TERMS = {
+    (), ("p1",), ("p2",), ("p3",), ("p4",), ("p5",),
+    ("p1", "p2"), ("p1", "p3"), ("p4", "p5"),
+}
+
+# Run lengths in any order, up to 10**40.
+path_parameters_st = st.builds(
+    PathParameters, *[st.integers(min_value=1, max_value=10**40)] * 5
+)
+
+
+def finite_difference_entries(t, which):
+    """Entries (row, col), 1-based, of the threaded matrix that move with ``which``."""
+    _, m0 = theta_gamma_p(t)
+    bumped = {f"p{k}": getattr(t, f"p{k}") for k in range(1, 6)}
+    bumped[which] += 1
+    _, m1 = theta_gamma_p(PathParameters(**bumped))
+    return tuple(
+        (i + 1, j + 1)
+        for i in range(8)
+        for j in range(8)
+        if m0.rows[i][j] != m1.rows[i][j]
+    )
 
 
 class TestBaseDatum:
@@ -200,20 +228,45 @@ class TestComputedTheta:
         assert computed != reference_theta(t)
 
 
+class TestCopyPolynomial:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from((0, 1, 2)), path_parameters_st)
+    def test_evaluates_to_the_threaded_matrix(self, k, t):
+        states = cycle_states()
+        end, poly = copy_polynomial(states[k])
+        assert end == states[(k + 1) % 3]
+        assert (end, polynomial_at(poly, t)) == theta_gamma_p(t, states[k])
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_nine_terms(self, k):
+        _, poly = copy_polynomial(cycle_states()[k])
+        assert set(poly) == NINE_TERMS
+
+    def test_run_on_a_state_its_letter_moves_raises(self):
+        start = base_datum().swapped()
+        state, _ = apply_path(start, RauzyPath(PATH_RUNS[:6]))
+        assert symbolic_step(state, "a").new_comb != state
+        with pytest.raises(ConstructionBrokenError, match="p1"):
+            copy_polynomial(start)
+
+
 class TestParameterDependence:
-    def test_p4_entries(self):
-        assert parameter_dependence(FIDELITY_TRIPLES[0], "p4") == P4_ENTRIES
+    @settings(max_examples=40, deadline=None)
+    @given(path_parameters_st)
+    def test_entries_are_the_finite_differences(self, t):
+        case = matrix_fidelity_report([t])["cases"][0]
+        assert case["p4_dependent_entries"] == finite_difference_entries(t, "p4")
+        assert case["p5_dependent_entries"] == finite_difference_entries(t, "p5")
 
-    def test_p5_entries(self):
-        assert parameter_dependence(FIDELITY_TRIPLES[0], "p5") == P5_ENTRIES
+    def test_p4_entries(self, fidelity):
+        assert fidelity["cases"][0]["p4_dependent_entries"] == P4_ENTRIES
 
-    def test_same_entries_at_other_parameters(self):
-        assert parameter_dependence(FIDELITY_TRIPLES[1], "p4") == P4_ENTRIES
-        assert parameter_dependence(FIDELITY_TRIPLES[1], "p5") == P5_ENTRIES
+    def test_p5_entries(self, fidelity):
+        assert fidelity["cases"][0]["p5_dependent_entries"] == P5_ENTRIES
 
-    def test_rejects_other_names(self):
-        with pytest.raises(ValueError):
-            parameter_dependence(ONES, "p3")
+    def test_same_entries_at_other_parameters(self, fidelity):
+        assert fidelity["cases"][1]["p4_dependent_entries"] == P4_ENTRIES
+        assert fidelity["cases"][1]["p5_dependent_entries"] == P5_ENTRIES
 
 
 @pytest.fixture(scope="module")
@@ -270,11 +323,20 @@ class TestParameterSchedule:
             {"d": 3, "p1_1": 0},
             {"d": 3, "p1_1": 5, "p4_rule": "p6"},
             {"d": 3, "p1_1": 5, "p5_rule": "q1"},
+            {"d": 3.5, "p1_1": 5},
+            {"d": 128, "p1_1": 256, "mode": "strict"},
+            {"d": 128, "p1_1": 256, "p4_rule": "p3", "mode": "relaxed"},
+            {"d": 128, "p1_1": 256, "mode": "banana"},
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             ParameterSchedule(**kwargs)
+
+    def test_named_values_keep_their_label(self):
+        assert ParameterSchedule(d=128, p1_1=256, mode="relaxed") == (
+            ParameterSchedule.relaxed()
+        )
 
     def test_copy_index_is_one_based(self):
         with pytest.raises(ValueError):
