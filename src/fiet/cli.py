@@ -11,7 +11,7 @@ Subcommands:
 * ``oracle``    randomized cross-check of induction against first returns
 
 Exit codes: 0 success, 1 a verification failed or the induction step is
-undefined, 2 usage or input errors.  All outputs are byte-reproducible:
+undefined, 2 usage, input or output errors.  All outputs are byte-reproducible:
 sorted JSON keys, exact rationals as "num/den", no timestamps.
 """
 
@@ -20,10 +20,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional, TextIO
 
 from . import serialize
 from .construction import (
@@ -75,12 +76,31 @@ def _read_json(path: str) -> dict:
         raise UsageError(f"cannot read JSON from {path}: {exc}") from exc
 
 
-def _write_text(text: str, out: Optional[str]) -> None:
-    if out is None or out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+@contextmanager
+def _output(dest: Optional[str]) -> Iterator[TextIO]:
+    """The stream a command writes its output to: the ``--out`` file or stdout.
+
+    Enter it once the output is computed, so that a failed run leaves no
+    file behind.  An ``OSError`` on opening, writing or closing becomes a
+    usage error.  A stdout closed by its reader is pointed at the null
+    device, so the interpreter's final flush has nowhere to fail.
+    """
+    to_stdout = dest is None or dest == "-"
+    try:
+        if to_stdout:
+            if sys.stdout is None:
+                raise OSError("standard output is closed")
+            yield sys.stdout
+            sys.stdout.flush()
+        else:
+            with open(dest, "w", encoding="utf-8") as fh:
+                yield fh
+    except OSError as exc:
+        if to_stdout and isinstance(exc, BrokenPipeError):
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        raise UsageError(f"cannot write {'stdout' if to_stdout else dest}: {exc}") from exc
 
 
 def _schedule_from_args(args) -> ParameterSchedule:
@@ -133,7 +153,8 @@ def _cmd_step(args) -> int:
         f2, out = rauzy_step(f)
         payload = serialize.step_outcome_to_dict(out)
         payload["lengths"] = serialize.vector_to_strs(f2.lengths)
-    _write_text(serialize.dump_json(payload), args.out)
+    with _output(args.out) as fh:
+        serialize.dump_json(payload, fh)
     return 0
 
 
@@ -171,7 +192,8 @@ def _cmd_path(args) -> int:
             "pi0": list(pi0r),
             "pi1": list(pi1r),
         }
-    _write_text(serialize.dump_json(payload), args.out)
+    with _output(args.out) as fh:
+        serialize.dump_json(payload, fh)
     return 0
 
 
@@ -190,11 +212,13 @@ def _cmd_construct(args) -> int:
         if exc.partial is not None:
             payload = serialize.limit_report_to_dict(exc.partial, args.precision)
             payload["partial"] = True
-            _write_text(serialize.dump_json(payload), args.out)
+            with _output(args.out) as fh:
+                serialize.dump_json(payload, fh)
         return 1
     payload = serialize.limit_report_to_dict(report, args.precision)
     payload["schedule"] = serialize.schedule_to_dict(schedule)
-    _write_text(serialize.dump_json(payload), args.out)
+    with _output(args.out) as fh:
+        serialize.dump_json(payload, fh)
     return 0
 
 
@@ -215,7 +239,8 @@ def _cmd_verify(args) -> int:
         include_matrix_report=not args.no_matrix_report,
     )
     payload = serialize.verify_report_to_dict(report)
-    _write_text(serialize.dump_json(payload), args.out)
+    with _output(args.out) as fh:
+        serialize.dump_json(payload, fh)
     if not report["passed"]:
         sys.stderr.write(
             f"verification FAILED: {len(report['records_failing'])} record(s) failing\n"
@@ -246,7 +271,9 @@ def _cmd_simulate(args) -> int:
     # non-positive horizon is rejected, so the orbit walk is inside the boundary.
     with _bad_input("bad --starts or --horizons"):
         report = birkhoff_frequencies(f, starts, horizons)
-    _write_text(serialize.frequency_report_csv(report, args.precision), args.out)
+    text = serialize.frequency_report_csv(report, args.precision)
+    with _output(args.out) as fh:
+        fh.write(text)
     return 0
 
 
@@ -266,7 +293,8 @@ def _cmd_oracle(args) -> int:
             for item in summary["failures"]
         ],
     }
-    _write_text(serialize.dump_json(payload), args.out)
+    with _output(args.out) as fh:
+        serialize.dump_json(payload, fh)
     return 0 if not summary["failures"] else 1
 
 

@@ -8,11 +8,13 @@ timestamps, so identical inputs produce identical bytes.
 
 from __future__ import annotations
 
+import io
 import json
 import re
 import sys
 from fractions import Fraction
-from typing import Sequence
+from itertools import islice
+from typing import Optional, Sequence, TextIO
 
 from .core import Fiet, FietCombinatorics, exact_int
 from .construction import NAMED_SCHEDULES, LimitReport, ParameterSchedule
@@ -152,7 +154,16 @@ def schedule_to_dict(s: ParameterSchedule) -> dict:
     }
 
 
+_SCHEDULE_KEYS = frozenset({"d", "p1_1", "p4_rule", "p5_rule", "mode"})
+
+
 def schedule_from_dict(d: dict) -> ParameterSchedule:
+    """The schedule a config file describes; a key it does not know is an error."""
+    if not isinstance(d, dict):
+        raise TypeError("a schedule config must be a JSON object")
+    unknown = set(d) - _SCHEDULE_KEYS
+    if unknown:
+        raise ValueError(f"unknown schedule key(s) {sorted(unknown)}")
     if "mode" in d and set(d) <= {"mode"}:
         return named_schedule(d["mode"])
     return ParameterSchedule(
@@ -194,19 +205,20 @@ def limit_report_to_dict(rep: LimitReport, precision: int = 12) -> dict:
 def verify_report_to_dict(report: dict, precision: int = 12) -> dict:
     """JSON-ready form of the dict produced by verify.verify_all.
 
-    A report repeats its integers (a level's total is the denominator of
-    most of its values), so each distinct integer is converted to decimal
-    once, through a memo that lives for this call only.
+    A record list repeats its integers (a level's total is the denominator
+    of most of its values), so each distinct integer of one list is
+    converted to decimal once.  The memo lives for one list (one tower
+    level), so it never holds the digits of the whole report.
     """
-    digits: dict[int, str] = {}
-
-    def fraction(q: Fraction) -> str:
-        for n in (q.numerator, q.denominator):
-            if n not in digits:
-                digits[n] = int_to_str(n)
-        return f"{digits[q.numerator]}/{digits[q.denominator]}"
-
     def records(recs) -> list[dict]:
+        digits: dict[int, str] = {}
+
+        def fraction(q: Fraction) -> str:
+            for n in (q.numerator, q.denominator):
+                if n not in digits:
+                    digits[n] = int_to_str(n)
+            return f"{digits[q.numerator]}/{digits[q.denominator]}"
+
         return [record_to_dict(r, fraction) for r in recs]
 
     towers = {}
@@ -216,7 +228,7 @@ def verify_report_to_dict(report: dict, precision: int = 12) -> dict:
             for level, recs in report["towers"][key].items()
         }
     vectors = {
-        key: [fraction(q) for q in vec]
+        key: vector_to_strs(vec)
         for key, vec in report["towers"]["vectors"].items()
     }
     out = {
@@ -304,30 +316,65 @@ def frequency_report_csv(report: FrequencyReport, precision: int = 12) -> str:
     return "\n".join(lines) + "\n"
 
 
-def dump_json(obj) -> str:
+# Encoder chunks per write.  A chunk is one key, value or separator (about
+# 100-200 characters on average in a verify report), so a write holds tens
+# of kilobytes of a report of megabytes.
+_CHUNKS_PER_WRITE = 256
+_ENCODER = json.JSONEncoder(indent=2, sort_keys=True)
+_PLACEHOLDER = re.compile(r'"\\u0000(\d+)"')
+
+
+def dump_json(obj, stream: Optional[TextIO] = None) -> Optional[str]:
     """Deterministic JSON: sorted keys, stable floats-free payload, newline end.
 
-    Integers past the interpreter's digit limit, which ``json.dumps``
-    refuses, are still written as JSON numbers: only then is each swapped
-    for a placeholder string (a NUL and an index, which no payload string
-    starts with), and the placeholder's quoted form is replaced by the
-    :func:`int_to_str` digits.
+    Given a text ``stream``, the document is written to it in batches of
+    encoder chunks and nothing is returned, so no copy of the whole text is
+    ever held.  Without one, the same text is returned.
+
+    Integers past the interpreter's digit limit, which the encoder refuses,
+    are still written as JSON numbers: each is swapped for a placeholder
+    string (a NUL and an index, which no payload string starts with), and in
+    each batch the placeholder's quoted form is replaced by the
+    :func:`int_to_str` digits.  The encoder yields every string within one
+    chunk, so a placeholder never spans two batches.
     """
-    try:
-        return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    except ValueError:
-        pass
+    out = io.StringIO() if stream is None else stream
     digits: list[str] = []
+    limit = _max_str_digits()
+    payload = _swap_big_ints(obj, 3 * limit, digits) if limit else obj
+    chunks = _ENCODER.iterencode(payload)
+    while batch := list(islice(chunks, _CHUNKS_PER_WRITE)):
+        text = "".join(batch)
+        if digits:
+            text = _PLACEHOLDER.sub(lambda m: digits[int(m[1])], text)
+        out.write(text)
+    out.write("\n")
+    return out.getvalue() if stream is None else None
 
-    def swap(o):
-        if isinstance(o, dict):
-            return {k: swap(v) for k, v in o.items()}
-        if isinstance(o, (list, tuple)):
-            return [swap(v) for v in o]
-        if type(o) is int and o.bit_length() > 3 * _max_str_digits():
-            digits.append(int_to_str(o))
-            return f"\x00{len(digits) - 1}"
+
+def _swap_big_ints(o, max_bits: int, digits: list[str]):
+    """``o`` with each integer over ``max_bits`` bits swapped for a placeholder.
+
+    The integer's digits are appended to ``digits``, whose index the
+    placeholder carries.  A container holding no such integer is returned
+    itself, not copied, so a payload without one comes back unchanged.
+    """
+    if type(o) is int:
+        if o.bit_length() <= max_bits:
+            return o
+        digits.append(int_to_str(o))
+        return f"\x00{len(digits) - 1}"
+    if isinstance(o, dict):
+        items = o.items()
+    elif isinstance(o, (list, tuple)):
+        items = enumerate(o)
+    else:
         return o
-
-    text = json.dumps(swap(obj), indent=2, sort_keys=True)
-    return re.sub(r'"\\u0000(\d+)"', lambda m: digits[int(m[1])], text) + "\n"
+    copy = None
+    for key, value in items:
+        swapped = _swap_big_ints(value, max_bits, digits)
+        if swapped is not value:
+            if copy is None:
+                copy = dict(o) if isinstance(o, dict) else list(o)
+            copy[key] = swapped
+    return o if copy is None else copy

@@ -3,6 +3,8 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -207,6 +209,16 @@ class TestPath:
         assert end == base_datum()
         payload = json.loads(out, parse_int=serialize.str_to_int)
         assert payload["matrix"] == matrix_to_lists(matrix.power(1000))
+
+    def test_power_past_the_int_digit_limit_digest(self, capsys, tmp_path):
+        # The same bytes on stdout and in an --out file.
+        argv = ["path", "--params", "10,20,40,20,10", "--power", "3000"]
+        dest = tmp_path / "path.json"
+        _, out, _ = run(capsys, argv)
+        assert run(capsys, argv + ["--out", str(dest)]) == (0, "", "")
+        digest = "54562ce2832371a9908a8874774369aabe0208a3d41707cecb7defc7bbec548d"
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+        assert hashlib.sha256(dest.read_bytes()).hexdigest() == digest
 
     def test_word_and_params_both_rejected(self, capsys):
         code, _, err = run(
@@ -536,13 +548,14 @@ class TestInputErrors:
         (["construct", "--config", "FILE"], {"d": 128.9, "p1_1": 256.5}),
         (["verify", "--config", "FILE"], {"d": 128, "p1_1": 256, "mode": "strict"}),
         (["verify", "--config", "FILE"], {"d": 128, "p1_1": 256, "mode": "banana"}),
+        (["construct", "--config", "FILE"], {"d": 128, "p1_1": 256, "p4rule": "p3"}),
     ], ids=[
         "construct-d-1", "verify-d-1", "simulate-d-1", "construct-p1-0",
         "config-list", "config-string", "config-number", "verify-c-10",
         "verify-b-33", "step-zero-denominator", "alpha-zero-denominator",
         "alpha-seven-entries", "alpha-zero-entry", "path-infinite-n",
         "step-float-label", "step-float-flip", "path-float-n", "config-float-d",
-        "config-mislabelled-strict", "config-unknown-mode",
+        "config-mislabelled-strict", "config-unknown-mode", "config-unknown-key",
     ])
     def test_bad_input_exits_two(self, capsys, tmp_path, argv, data):
         if data is not None:
@@ -598,6 +611,53 @@ class TestOutputsOverDigitLimit:
         assert max(len(s) for s in payload["alpha"]["exact"]) \
             > sys.get_int_max_str_digits()
         assert tuple(alpha) == limit_vectors(ParameterSchedule.relaxed(), 7).alpha
+
+
+class TestOutputErrors:
+    """A failed write exits 2 with one line on stderr, never a traceback."""
+
+    SMALL = ["--d", "2", "--p1", "2", "--depth", "1"]
+
+    @pytest.mark.parametrize("argv", [
+        ["step", "--in", "FILE"],
+        ["path", "--word", "ab"],
+        ["construct", *SMALL],
+        ["verify", *SMALL],
+        ["simulate", *SMALL, "--horizons", "10"],
+        ["oracle", "--trials", "3"],
+    ], ids=["step", "path", "construct", "verify", "simulate", "oracle"])
+    def test_out_in_missing_directory(self, capsys, tmp_path, argv):
+        path = write_json(tmp_path, "in.json", TestStep.RIGGED)
+        dest = str(tmp_path / "missing" / "x.json")
+        argv = [path if a == "FILE" else a for a in argv] + ["--out", dest]
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write {dest}: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["oracle", "--trials", "3"],
+        ["verify", "--mode", "relaxed", "--depth", "2"],
+    ], ids=["small-output", "output-past-the-pipe-buffer"])
+    def test_stdout_closed_by_its_reader(self, argv):
+        # A pipe whose read end is closed before the command starts, as in
+        # `fiet oracle | head -c 0`: every write to it fails.
+        read_fd, write_fd = os.pipe()
+        os.close(read_fd)
+        src = os.path.dirname(os.path.dirname(serialize.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        try:
+            done = subprocess.run([sys.executable, "-m", "fiet.cli", *argv],
+                                  stdout=write_fd, stderr=subprocess.PIPE,
+                                  env=env, timeout=120)
+        finally:
+            os.close(write_fd)
+        err = done.stderr.decode("utf-8")
+        assert done.returncode == 2
+        assert err.startswith("error: cannot write stdout: ")
+        assert "Traceback" not in err and "Exception ignored" not in err
 
 
 class TestParser:

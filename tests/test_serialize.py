@@ -2,6 +2,7 @@
 
 import json
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -10,14 +11,18 @@ from fiet import (
     Fiet,
     FietCombinatorics,
     ParameterSchedule,
+    PathParameters,
+    apply_path,
     base_datum,
     birkhoff_frequencies,
+    build_path,
     check_lemma4,
     limit_vectors,
     matrix_fidelity_report,
     rauzy_step,
     verify_all,
 )
+from fiet import serialize
 from fiet.serialize import (
     FREQUENCY_CSV_HEADER,
     comb_from_dict,
@@ -179,6 +184,10 @@ class TestSchedulePayload:
         s = schedule_from_dict({"d": 3, "p1_1": 5})
         assert (s.p4_rule, s.p5_rule, s.mode) == ("p2", "p1", "custom")
 
+    def test_unknown_key_rejected(self):
+        with pytest.raises(ValueError, match="p4rule"):
+            schedule_from_dict({"d": 128, "p1_1": 256, "p4rule": "p3"})
+
 
 class TestReportPayloads:
     def test_limit_report_payload(self):
@@ -287,3 +296,69 @@ class TestDumpJson:
         layout = dump_json({"m": [[1, -2], [3, 0]], "s": "x", "t": True})
         digits = int_to_str(big)
         assert text == layout.replace("3", digits).replace("-2", "-" + digits)
+
+
+def verify_payload(depth):
+    """The payload of ``fiet verify --mode relaxed --depth <depth>``."""
+    report = verify_all(ParameterSchedule.relaxed(), depth, family="reference")
+    return verify_report_to_dict(report)
+
+
+class TestDumpJsonStream:
+    """Given a stream, dump_json writes the text it would return, batch by batch."""
+
+    @staticmethod
+    def written(payload, tmp_path):
+        out = tmp_path / "out.json"
+        with open(out, "w", encoding="utf-8") as fh:
+            assert dump_json(payload, fh) is None
+        return out.read_text(encoding="utf-8")
+
+    @pytest.fixture(scope="class")
+    def power_matrix(self):
+        # The matrix of `fiet path --params 10,20,40,20,10 --power 3000`, whose
+        # entries run past the digit limit: three copies of the path return
+        # to the start, so it is the 1000th power of the three-copy matrix.
+        _, matrix = apply_path(
+            base_datum(), build_path(PathParameters(10, 20, 40, 20, 10)).repeat(3))
+        return {"matrix": matrix_to_lists(matrix.power(1000))}
+
+    def test_verify_payload(self, tmp_path):
+        payload = verify_payload(3)
+        text = self.written(payload, tmp_path)
+        assert text == dump_json(payload)
+        assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("chunks_per_write", [1, 7])
+    def test_over_limit_integers(self, tmp_path, monkeypatch, power_matrix,
+                                 chunks_per_write):
+        text = dump_json(power_matrix)
+        assert max(len(m) for m in text.split()) > sys.get_int_max_str_digits()
+        assert json.loads(text, parse_int=str_to_int) == power_matrix
+        # Batches of a few chunks cut the text at many more places, and
+        # every placeholder is still replaced by its digits.
+        monkeypatch.setattr(serialize, "_CHUNKS_PER_WRITE", chunks_per_write)
+        assert self.written(power_matrix, tmp_path) == text
+
+    def test_payload_without_big_integers_is_not_copied(self):
+        payload = {"m": [[1, -2], (3, 0)], "s": "x"}
+        assert serialize._swap_big_ints(payload, 64, []) is payload
+
+    @pytest.mark.parametrize("payload", [{}, []], ids=["dict", "list"])
+    def test_empty_containers(self, tmp_path, payload):
+        assert self.written(payload, tmp_path) == dump_json(payload) \
+            == json.dumps(payload) + "\n"
+
+    def test_memory_stays_below_the_output(self, tmp_path):
+        payload = verify_payload(5)
+        out = tmp_path / "out.json"
+        tracemalloc.start()
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                dump_json(payload, fh)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = out.stat().st_size
+        assert size > 1_000_000
+        assert peak < size / 4
