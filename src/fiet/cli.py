@@ -80,8 +80,8 @@ def _read_json(path: str) -> dict:
 def _output(dest: Optional[str]) -> Iterator[TextIO]:
     """The stream a command writes its output to: the ``--out`` file or stdout.
 
-    Enter it once the output is computed, so that a failed run leaves no
-    file behind.  An ``OSError`` on opening, writing or closing becomes a
+    Enter it once the output is computed, so that a run whose computation
+    fails leaves no file behind.  An ``OSError`` on opening, writing or closing becomes a
     usage error.  A stdout closed by its reader is pointed at the null
     device, so the interpreter's final flush has nowhere to fail.
     """

@@ -645,15 +645,24 @@ class TestOutputErrors:
         # `fiet oracle | head -c 0`: every write to it fails.
         read_fd, write_fd = os.pipe()
         os.close(read_fd)
+        try:
+            self.assert_stdout_error([sys.executable, "-m", "fiet.cli", *argv],
+                                     stdout=write_fd)
+        finally:
+            os.close(write_fd)
+
+    def test_stdout_closed_at_start(self):
+        # `fiet oracle >&-`: the interpreter starts with no sys.stdout.
+        self.assert_stdout_error(["sh", "-c", 'exec "$@" >&-', "sh", sys.executable,
+                                  "-m", "fiet.cli", "oracle", "--trials", "3"])
+
+    @staticmethod
+    def assert_stdout_error(argv, stdout=None):
         src = os.path.dirname(os.path.dirname(serialize.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        try:
-            done = subprocess.run([sys.executable, "-m", "fiet.cli", *argv],
-                                  stdout=write_fd, stderr=subprocess.PIPE,
-                                  env=env, timeout=120)
-        finally:
-            os.close(write_fd)
+        done = subprocess.run(argv, stdout=stdout, stderr=subprocess.PIPE,
+                              env=env, timeout=120)
         err = done.stderr.decode("utf-8")
         assert done.returncode == 2
         assert err.startswith("error: cannot write stdout: ")
