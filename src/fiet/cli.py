@@ -21,8 +21,9 @@ import argparse
 import dataclasses
 import json
 import os
+import shutil
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from fractions import Fraction
 from typing import Iterator, Optional, TextIO
 
@@ -81,9 +82,11 @@ def _output(dest: Optional[str]) -> Iterator[TextIO]:
     """The stream a command writes its output to: the ``--out`` file or stdout.
 
     Enter it once the output is computed, so that a run whose computation
-    fails leaves no file behind.  An ``OSError`` on opening, writing or closing becomes a
-    usage error.  A stdout closed by its reader is pointed at the null
-    device, so the interpreter's final flush has nowhere to fail.
+    fails leaves no file behind.  A file is written under a temporary name
+    beside it and renamed onto it only once complete, so a failed write
+    leaves the destination as it was.  An ``OSError`` on opening, writing or
+    closing becomes a usage error.  A stdout closed by its reader is pointed
+    at the null device, so the interpreter's final flush has nowhere to fail.
     """
     to_stdout = dest is None or dest == "-"
     try:
@@ -92,9 +95,27 @@ def _output(dest: Optional[str]) -> Iterator[TextIO]:
                 raise OSError("standard output is closed")
             yield sys.stdout
             sys.stdout.flush()
-        else:
+        elif not os.path.basename(dest) or (os.path.exists(dest)
+                                            and not os.path.isfile(dest)):
+            # A device or a pipe, such as /dev/null, cannot be replaced, and
+            # a name ending in a separator names no file.
             with open(dest, "w", encoding="utf-8") as fh:
                 yield fh
+        else:
+            target = os.path.realpath(dest)
+            head, name = os.path.split(target)
+            tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+            fh = open(tmp, "x", encoding="utf-8")
+            try:
+                with fh:
+                    if os.path.exists(target):
+                        shutil.copymode(target, tmp)
+                    yield fh
+                os.replace(tmp, target)
+            except BaseException:
+                with suppress(OSError):
+                    os.remove(tmp)
+                raise
     except OSError as exc:
         if to_stdout and isinstance(exc, BrokenPipeError):
             devnull = os.open(os.devnull, os.O_WRONLY)

@@ -2,23 +2,28 @@
 
 The base datum is an 8-interval FIET combinatorics with six flipped labels.
 A parameterized induction path ``gamma(p1..p5)`` (30 fixed letters plus five
-parameter-length runs) returns the combinatorics to a state from which the
-same path applies again; three consecutive applications return it exactly to
-the base state, so blocks of three form a closed renormalization scheme.
+parameter-length runs) ends on the base state relabelled by
+sigma = (2->4, 4->3, 3->2).  sigma has order three, so three consecutive
+applications return exactly to the base state, and blocks of three form a
+closed renormalization scheme.
 
-At each of the three states the path's matrix is one copy polynomial in
-p1..p5, derived once per process by :func:`copy_polynomial`.  That function
+The path's matrix from the base state is one copy polynomial M0 in p1..p5,
+derived once per process, with sigma, by :func:`base_copy`.  The derivation
 checks that each parameter run starts on a state its letter fixes, so the
-end state does not depend on the parameters and the matrix is multilinear,
-with nine terms: 1, p1..p5, p1*p2, p1*p3 and p4*p5.
+end state does not depend on the parameters and M0 is multilinear, with nine
+terms: 1, p1..p5, p1*p2, p1*p3 and p4*p5.  A step never looks at label
+names, so from cycle state k (the base relabelled by sigma^k) the matrix is
+M0 read in that state's labels, P^k M0 P^-k with P e_j = e_sigma(j).  The
+computed copy j is read out in the frame of cycle state j-1, and a block is
+the product of M0(p_j) P over its three copies.
 
-Two matrix families live here.  The **computed** family evaluates the copy
-polynomials; its cone drives length-driven induction along the path letter
-for letter, and it gives the limit lengths, simulation and contraction.  The
-**reference** family is a closed-form matrix in (p1, p2, p3) whose column
-sums are the eight expansion coefficients of the inequality suite in
-:mod:`fiet.verify`, which uses it by default.  The families differ
-entry-wise; :func:`matrix_fidelity_report` reports how, exactly.
+Two matrix families live here.  The **computed** family evaluates M0; its
+cone drives length-driven induction along the path letter for letter, and
+it gives the limit lengths, simulation and contraction.  The **reference**
+family is a closed-form matrix in (p1, p2, p3) whose column sums are the
+eight expansion coefficients of the inequality suite in :mod:`fiet.verify`,
+which uses it by default.  The families differ entry-wise;
+:func:`matrix_fidelity_report` reports how, exactly.
 """
 
 from __future__ import annotations
@@ -105,7 +110,6 @@ def theta_gamma_p(
     return apply_path(start if start is not None else base_datum(), build_path(t))
 
 
-@lru_cache(maxsize=COPIES_PER_BLOCK)
 def copy_polynomial(start: FietCombinatorics) -> tuple[FietCombinatorics, Mapping]:
     """The path from ``start`` with p1..p5 as symbols: (end state, matrix).
 
@@ -141,18 +145,48 @@ def polynomial_at(poly: Mapping, t: PathParameters) -> TransitionMatrix:
     ))
 
 
-@lru_cache(maxsize=1)
-def cycle_states() -> tuple[FietCombinatorics, ...]:
-    """The three states visited by consecutive path applications.
+def _relabel(state: FietCombinatorics, s: Sequence[int]) -> FietCombinatorics:
+    """``state`` with each label a renamed s[a - 1]."""
+    return FietCombinatorics(state.n, tuple(s[a - 1] for a in state.pi0),
+                             tuple(s[a - 1] for a in state.pi1),
+                             frozenset(s[a - 1] for a in state.flips))
 
-    Each is the end state of the previous one's nine-term copy polynomial, whose
-    derivation checks that each parameter run starts on a state it fixes."""
-    states = [base_datum()]
-    for _ in range(COPIES_PER_BLOCK):
-        states.append(copy_polynomial(states[-1])[0])
-    if states.pop() != states[0]:
+
+def _power(sigma: Sequence[int], k: int) -> tuple[int, ...]:
+    """sigma^k (k >= 0) as the images of labels 1..n."""
+    out = tuple(range(1, len(sigma) + 1))
+    for _ in range(k):
+        out = tuple(sigma[a - 1] for a in out)
+    return out
+
+
+@lru_cache(maxsize=1)
+def base_copy() -> tuple[Mapping, tuple[int, ...]]:
+    """(M0, sigma): the copy polynomial at the base state and its relabelling.
+
+    sigma, as the images of labels 1..8, is read off the end state:
+    sigma(base.pi0[i]) = end.pi0[i].  A step never looks at label names, so
+    "the end state is the base relabelled by sigma, and sigma^3 = id" is
+    "three copies return to the base state"; a failure raises
+    :class:`ConstructionBrokenError`.
+    """
+    base = base_datum()
+    end, poly = copy_polynomial(base)
+    image = dict(zip(base.pi0, end.pi0))
+    sigma = tuple(image[a] for a in range(1, N_LABELS + 1))
+    if _relabel(base, sigma) != end:
+        raise ConstructionBrokenError("the end state is not a relabelled base state")
+    if _power(sigma, COPIES_PER_BLOCK) != _power(sigma, 0):
         raise ConstructionBrokenError("three copies did not return to the base state")
-    return tuple(states)
+    return poly, sigma
+
+
+def cycle_states() -> tuple[FietCombinatorics, ...]:
+    """The three states visited by consecutive path applications: the base
+    state relabelled by sigma^k for k = 0, 1, 2 (see :func:`base_copy`)."""
+    sigma = base_copy()[1]
+    return tuple(_relabel(base_datum(), _power(sigma, k))
+                 for k in range(COPIES_PER_BLOCK))
 
 
 def reference_theta(t: PathParameters) -> TransitionMatrix:
@@ -287,20 +321,35 @@ class ParameterSchedule:
 def theta_copy(
     schedule: ParameterSchedule, j: int, family: str = "computed"
 ) -> TransitionMatrix:
-    """Transition matrix of copy j under the schedule, for either family."""
+    """Transition matrix of copy j under the schedule, for either family.
+
+    The computed matrix is M0 evaluated at copy j's parameters, then read out
+    in the frame of cycle state j-1: with k = (j-1) mod 3 and s = sigma^k,
+    entry (s(a), s(b)) is M0[a][b], i.e. P^k M0 P^-k.
+    """
     t = schedule.params(j)
     if family == "reference":
         return reference_theta(t)
     if family != "computed":
         raise ValueError(f"family must be 'computed' or 'reference', got {family!r}")
-    start = cycle_states()[(j - 1) % COPIES_PER_BLOCK]
-    return polynomial_at(copy_polynomial(start)[1], t)
+    poly, sigma = base_copy()
+    m0 = polynomial_at(poly, t).rows
+    s = _power(sigma, (j - 1) % COPIES_PER_BLOCK)
+    rows = [[0] * N_LABELS for _ in range(N_LABELS)]
+    for a in range(N_LABELS):
+        for b in range(N_LABELS):
+            rows[s[a] - 1][s[b] - 1] = m0[a][b]
+    return TransitionMatrix(tuple(map(tuple, rows)))
 
 
 def theta_block(
     schedule: ParameterSchedule, i: int, family: str = "computed"
 ) -> TransitionMatrix:
-    """Product matrix of block i = copies 3i-2, 3i-1, 3i (returns to base state)."""
+    """Product matrix of block i = copies 3i-2, 3i-1, 3i (returns to base state).
+
+    For the computed family, P^3 = I makes this the product of M0(p_j) P over
+    the block's three copies j.
+    """
     if i < 1:
         raise ValueError("block index is 1-based")
     first = COPIES_PER_BLOCK * (i - 1) + 1
@@ -435,7 +484,8 @@ def matrix_fidelity_report(
     closed-form formulas, and the computed entries that move with p4 and with
     p5: those with a p4 (p5) term in the non-negative copy polynomial.
     """
-    end, poly = copy_polynomial(base_datum())
+    poly, _ = base_copy()
+    end = cycle_states()[1]
     dependent = {p: tuple(
         (i + 1, j + 1) for i in range(N_LABELS) for j in range(N_LABELS)
         if any(cols[j][i] for mono, cols in poly.items() if p in mono)

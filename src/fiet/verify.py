@@ -12,7 +12,10 @@ by the sign of a cross-multiplied integer, and its sides and margin become
 Tower convention: with J = 3m copies scheduled, the level-j vector is the
 normalized image of the seed basis vector under the copy matrices j..J
 (applied right to left).  Levels J-1 and J are start-up artifacts of the
-finite seed, so a depth-m run checks levels 1..3m-2.
+finite seed, so a depth-m run checks levels 1..3m-2.  Each copy matrix is
+read in the labels of the state its copy starts from, so a computed level-j
+vector is in the frame of cycle state j-1: it is P^(j-1) A_j ... A_J e_seed
+with A_j = M0(p_j) P (see :mod:`fiet.construction`).
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from typing import Optional, Sequence
 from .core import Fiet, FietCombinatorics, _Tiles, domain_partition, first_return
 from .induction import KeaneViolation, TransitionMatrix, rauzy_step
 from .construction import (
+    COPIES_PER_BLOCK,
     N_LABELS,
     ParameterSchedule,
     PathParameters,
@@ -270,7 +274,7 @@ def checked_levels(m: int) -> tuple[int, ...]:
     """Levels a depth-m run checks: 1..3m-2 (the last two are burn-in)."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    return tuple(range(1, 3 * m - BURN_IN_LEVELS + 1))
+    return tuple(range(1, COPIES_PER_BLOCK * m - BURN_IN_LEVELS + 1))
 
 
 def lemma_towers(
@@ -288,7 +292,8 @@ def lemma_towers(
     The checks read each level's integer vector w_j directly, as w_j / S_j.
     """
     levels = checked_levels(m)
-    matrices = [theta_copy(schedule, j, family) for j in range(1, 3 * m + 1)]
+    matrices = [theta_copy(schedule, j, family)
+                for j in range(1, COPIES_PER_BLOCK * m + 1)]
     t7, t5, t2 = (
         {j: w for j, w, _ in _tower(matrices, seed)} for seed in (7, 5, 2)
     )

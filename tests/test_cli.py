@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -656,13 +657,60 @@ class TestOutputErrors:
         self.assert_stdout_error(["sh", "-c", 'exec "$@" >&-', "sh", sys.executable,
                                   "-m", "fiet.cli", "oracle", "--trials", "3"])
 
+    @pytest.mark.parametrize("old", [None, b"old report\n"], ids=["new", "existing"])
+    def test_write_past_the_file_size_limit(self, tmp_path, old):
+        # `ulimit -f 100`: the report is larger than 100 KiB, so a write
+        # fails part-way; the destination is left as it was, with no
+        # temporary file beside it.
+        dest = tmp_path / "big.json"
+        if old is not None:
+            dest.write_bytes(old)
+        limit = 100 * 1024
+        done = self.run_argv(
+            [sys.executable, "-m", "fiet.cli", "verify", "--mode", "relaxed",
+             "--depth", "3", "--out", str(dest)],
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit)))
+        err = done.stderr.decode("utf-8")
+        assert done.returncode == 2
+        assert err.startswith(f"error: cannot write {dest}: ")
+        assert "Traceback" not in err
+        if old is None:
+            assert os.listdir(tmp_path) == []
+        else:
+            assert os.listdir(tmp_path) == ["big.json"]
+            assert dest.read_bytes() == old
+
+    def test_out_replaces_an_existing_file(self, capsys, tmp_path):
+        dest = tmp_path / "x.json"
+        dest.write_text("an old report, longer than the new one\n" * 100, encoding="utf-8")
+        code, out, _ = run(capsys, ["oracle", "--trials", "3"])
+        assert code == 0
+        assert run(capsys, ["oracle", "--trials", "3", "--out", str(dest)]) == (0, "", "")
+        assert dest.read_text(encoding="utf-8") == out
+        assert os.listdir(tmp_path) == ["x.json"]
+
+    def test_out_ending_in_a_separator_writes_no_file(self, capsys, tmp_path):
+        dest = str(tmp_path / "x.json") + os.sep
+        code, out, err = run(capsys, ["oracle", "--trials", "3", "--out", dest])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {dest}: ")
+        assert os.listdir(tmp_path) == []
+
+    def test_out_to_a_device_writes_in_place(self, capsys):
+        assert run(capsys, ["oracle", "--trials", "3", "--out", os.devnull]) == (0, "", "")
+        assert not os.path.isfile(os.devnull)
+
     @staticmethod
-    def assert_stdout_error(argv, stdout=None):
+    def run_argv(argv, **kwargs):
         src = os.path.dirname(os.path.dirname(serialize.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        done = subprocess.run(argv, stdout=stdout, stderr=subprocess.PIPE,
-                              env=env, timeout=120)
+        return subprocess.run(argv, stderr=subprocess.PIPE, env=env, timeout=120,
+                              **kwargs)
+
+    @classmethod
+    def assert_stdout_error(cls, argv, stdout=None):
+        done = cls.run_argv(argv, stdout=stdout)
         err = done.stderr.decode("utf-8")
         assert done.returncode == 2
         assert err.startswith("error: cannot write stdout: ")

@@ -34,7 +34,8 @@ from fiet import (
     theta_copy,
     theta_gamma_p,
 )
-from fiet.construction import PATH_RUNS, copy_polynomial, polynomial_at
+import fiet.construction as construction
+from fiet.construction import PATH_RUNS, base_copy, copy_polynomial, polynomial_at
 
 ONES = PathParameters(1, 1, 1, 1, 1)
 
@@ -57,6 +58,9 @@ STATE_2 = FietCombinatorics(
     (2, 5, 6, 7, 3, 1, 8, 4),
     frozenset({2, 3, 4, 5, 6, 7}),
 )
+
+# The relabelling sigma = (2->4, 4->3, 3->2) as the images of labels 1..8.
+SIGMA = (1, 4, 2, 3, 5, 6, 7, 8)
 
 # Rows restricted to labels {2, 3, 4} at each cycle state.
 BRACKETS = {
@@ -248,6 +252,81 @@ class TestCopyPolynomial:
         assert symbolic_step(state, "a").new_comb != state
         with pytest.raises(ConstructionBrokenError, match="p1"):
             copy_polynomial(start)
+
+
+def sigma_power(k):
+    s = tuple(range(1, 9))
+    for _ in range(k):
+        s = tuple(SIGMA[a - 1] for a in s)
+    return s
+
+
+def relabelled(state, s):
+    return FietCombinatorics(8, tuple(s[a - 1] for a in state.pi0),
+                             tuple(s[a - 1] for a in state.pi1),
+                             frozenset(s[a - 1] for a in state.flips))
+
+
+# P e_j = e_sigma(j), and P^-1 = P^2.
+P = TransitionMatrix(tuple(tuple(int(SIGMA[j] == i + 1) for j in range(8))
+                           for i in range(8)))
+NAMED = [ParameterSchedule.relaxed(), ParameterSchedule.strict()]
+
+
+class TestRelabelling:
+    def test_sigma(self):
+        _, sigma = base_copy()
+        assert sigma == SIGMA
+        assert [a for a in range(1, 9) if sigma[a - 1] == a] == [1, 5, 6, 7, 8]
+        assert sigma_power(3) == tuple(range(1, 9))
+        assert P.power(3) == TransitionMatrix.identity(8)
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_cycle_state_is_the_relabelled_base(self, k):
+        assert cycle_states()[k] == relabelled(base_datum(), sigma_power(k))
+
+    @pytest.mark.parametrize("schedule", NAMED, ids=lambda s: s.mode)
+    @pytest.mark.parametrize("j", range(1, 7))
+    def test_copy_is_m0_in_the_frame_of_its_start_state(self, schedule, j):
+        k = (j - 1) % 3
+        t = schedule.params(j)
+        m0 = polynomial_at(base_copy()[0], t)
+        expected = P.power(k) @ m0 @ P.power(3 - k)
+        assert theta_copy(schedule, j) == expected
+        # The same matrix threaded symbolically from cycle state k.
+        start = cycle_states()[k]
+        assert polynomial_at(copy_polynomial(start)[1], t) == expected
+
+    @pytest.mark.parametrize("schedule", NAMED, ids=lambda s: s.mode)
+    @pytest.mark.parametrize("i", [1, 2])
+    def test_block_is_the_product_of_m0_p(self, schedule, i):
+        m0 = base_copy()[0]
+        expected = TransitionMatrix.identity(8)
+        for j in range(3 * i - 2, 3 * i + 1):
+            expected = expected @ polynomial_at(m0, schedule.params(j)) @ P
+        assert theta_block(schedule, i) == expected
+
+
+class TestBaseCopyChecks:
+    @pytest.fixture(autouse=True)
+    def fresh_derivation(self):
+        base_copy.cache_clear()
+        yield
+        base_copy.cache_clear()
+
+    @pytest.mark.parametrize("end, match", [
+        (FietCombinatorics(8, (1, 4, 2, 3, 5, 6, 7, 8), (4, 5, 6, 7, 2, 1, 8, 3),
+                           frozenset({2, 3, 4, 5, 6, 7})), "not a relabelled"),
+        (FietCombinatorics(8, (1, 4, 2, 3, 5, 6, 7, 8), (3, 5, 6, 7, 4, 1, 8, 2),
+                           frozenset({2, 3, 4, 5, 6})), "not a relabelled"),
+        # sigma = (2 3) has order two: three copies would end on state 1.
+        (relabelled(base_datum(), (1, 3, 2, 4, 5, 6, 7, 8)), "three copies"),
+    ], ids=["pi1", "flips", "order-two"])
+    def test_end_state_checks(self, monkeypatch, end, match):
+        poly = copy_polynomial(base_datum())[1]
+        monkeypatch.setattr(construction, "copy_polynomial", lambda start: (end, poly))
+        with pytest.raises(ConstructionBrokenError, match=match):
+            base_copy()
 
 
 class TestParameterDependence:
