@@ -64,9 +64,12 @@ class OracleInapplicable(FietError):
 
 
 def exact_int(v, name: str) -> int:
-    """``v`` as an int; raises ValueError unless its value is an integer."""
+    """``v`` as an int; raises ValueError unless its value is an integer.
+
+    A bool is rejected too: JSON ``true`` is not the label or count 1.
+    """
     i = int(v)
-    if i != v:
+    if i != v or isinstance(v, bool):
         raise ValueError(f"{name} must be an integer, got {v!r}")
     return i
 
@@ -134,11 +137,16 @@ class Fiet:
     lengths: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        lengths = tuple(Fraction(v) for v in self.lengths)
+        # A Fraction is already normalized; anything else (a subclass too) is
+        # converted once.  Its denominator is positive, so the sign is the
+        # numerator's.
+        lengths = tuple(
+            v if type(v) is Fraction else Fraction(v) for v in self.lengths
+        )
         object.__setattr__(self, "lengths", lengths)
         if len(lengths) != self.comb.n:
             raise ValueError("lengths must have one entry per label")
-        if any(v <= 0 for v in lengths):
+        if any(v.numerator <= 0 for v in lengths):
             raise ValueError("all lengths must be positive")
 
     @property
@@ -147,7 +155,10 @@ class Fiet:
 
     @property
     def total_length(self) -> Fraction:
-        return sum(self.lengths, Fraction(0))
+        den = lcm(*(q.denominator for q in self.lengths))
+        return Fraction(
+            sum(q.numerator * (den // q.denominator) for q in self.lengths), den
+        )
 
     def length_of(self, label: int) -> Fraction:
         return self.lengths[label - 1]
@@ -322,16 +333,14 @@ def first_return(f: Fiet, cut: Fraction, max_applications: int = 4096) -> Fiet:
     :class:`OracleInapplicable` whenever the data does not assemble into an
     n-interval exchange under these rules.
     """
-    cut = Fraction(cut)
-    L = f.total_length
-    if cut == L:
-        return f
-    if not (0 < cut < L):
-        raise DomainError(f"cut {cut} outside (0, {L}]")
-
-    tiles = _Tiles(f, (cut,))
+    q = Fraction(cut)
+    tiles = _Tiles(f, (q,))
     scale = tiles.scale
-    cut = int(cut * scale)
+    cut = q.numerator * (scale // q.denominator)
+    if cut == tiles.L:
+        return f
+    if not (0 < cut < tiles.L):
+        raise DomainError(f"cut {q} outside (0, {Fraction(tiles.L, scale)}]")
 
     # Initial pieces: [0, cut) split at the original domain breakpoints.
     pieces: list[_Piece] = []

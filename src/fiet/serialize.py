@@ -63,6 +63,8 @@ def format_fraction(q: Fraction) -> str:
 
 
 def parse_fraction(s: str) -> Fraction:
+    if not isinstance(s, str):
+        raise TypeError(f'expected an exact "num/den" string, got {s!r}')
     limit = _max_str_digits()
     if not limit or len(s) <= limit:
         return Fraction(s)
@@ -98,9 +100,9 @@ def comb_to_dict(c: FietCombinatorics) -> dict:
 def comb_from_dict(d: dict) -> FietCombinatorics:
     return FietCombinatorics(
         exact_int(d["n"], "n"),
-        tuple(d["pi0"]),
-        tuple(d["pi1"]),
-        frozenset(d.get("flips", ())),
+        tuple(exact_int(v, "pi0 entry") for v in d["pi0"]),
+        tuple(exact_int(v, "pi1 entry") for v in d["pi1"]),
+        frozenset(exact_int(v, "flips entry") for v in d.get("flips", ())),
     )
 
 

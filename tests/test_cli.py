@@ -550,6 +550,10 @@ class TestInputErrors:
         (["verify", "--config", "FILE"], {"d": 128, "p1_1": 256, "mode": "strict"}),
         (["verify", "--config", "FILE"], {"d": 128, "p1_1": 256, "mode": "banana"}),
         (["construct", "--config", "FILE"], {"d": 128, "p1_1": 256, "p4rule": "p3"}),
+        (["construct", "--config", "FILE"], {"d": 128, "p1_1": True}),
+        (["step", "--in", "FILE"], {"n": 2, "pi0": [True, 2], "pi1": [2, 1],
+                                    "flips": [True], "lengths": ["1/1", "2/1"]}),
+        (["step", "--in", "FILE"], dict(TestStep.RIGGED, lengths=[0.5] + ["1/1"] * 7)),
     ], ids=[
         "construct-d-1", "verify-d-1", "simulate-d-1", "construct-p1-0",
         "config-list", "config-string", "config-number", "verify-c-10",
@@ -557,6 +561,7 @@ class TestInputErrors:
         "alpha-seven-entries", "alpha-zero-entry", "path-infinite-n",
         "step-float-label", "step-float-flip", "path-float-n", "config-float-d",
         "config-mislabelled-strict", "config-unknown-mode", "config-unknown-key",
+        "config-bool-p1", "step-bool-label-and-flip", "step-float-length",
     ])
     def test_bad_input_exits_two(self, capsys, tmp_path, argv, data):
         if data is not None:

@@ -1,5 +1,7 @@
 """Exact map evaluation, orbits, partitions, and the first-return oracle."""
 
+import math
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -302,11 +304,31 @@ class TestFirstReturn:
     def test_full_interval_returns_same_map(self):
         assert first_return(FLIPPY, FLIPPY.total_length) == FLIPPY
 
+    @given(fiets_st())
+    def test_full_interval_returns_the_map_itself(self, f):
+        assert first_return(f, sum(f.lengths, F(0))) is f
+
     def test_cut_out_of_range_rejected(self):
         with pytest.raises(DomainError):
             first_return(FLIPPY, 0)
         with pytest.raises(DomainError):
             first_return(FLIPPY, 11)
+
+    @given(
+        fiets_st(),
+        st.fractions(min_value=0, max_value=5, max_denominator=30),
+        st.booleans(),
+        st.sampled_from([int, str, F]),
+    )
+    def test_cut_out_of_range_message(self, f, excess, above, form):
+        # A cut <= 0 or > L is refused with one text, whatever its type.
+        total = sum(f.lengths, F(0))
+        cut = total + 1 + excess if above else -excess
+        if form is int:
+            cut = F(math.ceil(cut) if above else math.floor(cut))
+        with pytest.raises(DomainError) as exc:
+            first_return(f, form(cut))
+        assert str(exc.value) == f"cut {cut} outside (0, {total}]"
 
     def test_shortens_longer_rightmost_domain_interval(self):
         f = Fiet(FietCombinatorics(3, (1, 2, 3), (3, 2, 1), fs()), (F(1), F(2), F(4)))
@@ -373,6 +395,33 @@ class TestValidation:
     def test_flips_must_be_labels(self):
         with pytest.raises(ValueError):
             FietCombinatorics(2, (1, 2), (2, 1), fs(3))
+
+    @given(fiets_st())
+    def test_total_length_is_the_sum(self, f):
+        assert f.total_length == sum(f.lengths, F(0))
+        assert type(f.total_length) is F
+
+    @given(fiets_st(), st.integers(min_value=0, max_value=3))
+    def test_every_length_form_gives_the_same_fractions(self, f, places):
+        class Sub(F):
+            pass
+
+        # Numerators over 10**places, which every form below holds exactly.
+        want = tuple(F(q.numerator, 10**places) for q in f.lengths)
+        forms = [str, F, Sub, lambda q: Decimal(q.numerator) / q.denominator]
+        if places == 0:
+            forms.append(int)
+        for form in forms:
+            g = Fiet(f.comb, tuple(form(q) for q in want))
+            assert g.lengths == want
+            assert all(type(q) is F for q in g.lengths)
+
+    @pytest.mark.parametrize("form", [int, str, Decimal, F, type("Sub", (F,), {})])
+    @pytest.mark.parametrize("bad", [0, -2])
+    def test_nonpositive_length_rejected_in_every_form(self, form, bad):
+        c = FietCombinatorics(2, (1, 2), (2, 1), fs())
+        with pytest.raises(ValueError, match="positive"):
+            Fiet(c, (F(1), form(bad)))
 
     def test_lengths_positive_and_complete(self):
         c = FietCombinatorics(2, (1, 2), (2, 1), fs())

@@ -118,6 +118,19 @@ class TestCombinatoricsPayload:
         c = comb_from_dict({"n": 2, "pi0": [1, 2], "pi1": [2, 1]})
         assert c.flips == frozenset()
 
+    @pytest.mark.parametrize("key, value", [
+        ("n", True), ("pi0", [True, 2]), ("pi1", [2, True]), ("flips", [True]),
+    ])
+    def test_bool_entries_rejected(self, key, value):
+        d = dict({"n": 2, "pi0": [1, 2], "pi1": [2, 1], "flips": [1]}, **{key: value})
+        with pytest.raises(ValueError, match="must be an integer, got True"):
+            comb_from_dict(d)
+
+    def test_integral_entries_read_as_ints(self):
+        c = comb_from_dict({"n": 2.0, "pi0": [1.0, 2], "pi1": [2, 1], "flips": [1.0]})
+        assert c == FietCombinatorics(2, (1, 2), (2, 1), frozenset({1}))
+        assert all(type(v) is int for v in (c.n, *c.pi0, *c.flips))
+
 
 class TestFietPayload:
     def test_round_trip(self):
@@ -130,6 +143,12 @@ class TestFietPayload:
     def test_lengths_required(self):
         with pytest.raises(ValueError):
             fiet_from_dict({"n": 2, "pi0": [1, 2], "pi1": [2, 1]})
+
+    @pytest.mark.parametrize("length", [0.5, 1, None])
+    def test_length_must_be_text(self, length):
+        d = {"n": 2, "pi0": [1, 2], "pi1": [2, 1], "lengths": [length, "1/1"]}
+        with pytest.raises(TypeError, match='"num/den" string'):
+            fiet_from_dict(d)
 
     def test_lengths_encoded_exactly(self):
         f = Fiet(
