@@ -287,51 +287,26 @@ def is_irreducible(c: FietCombinatorics) -> bool:
     return True
 
 
-class _Piece:
-    """A subinterval of the induced domain being tracked through the map.
-
-    ``dom`` is its place in [0, cut) (the induced FIET's domain); ``pos`` is
-    where its points currently sit; ``sign`` is +1 if orientation is
-    preserved, -1 if reversed; ``rtime`` counts applications of the map;
-    ``home`` is the label of the original domain tile containing ``dom``.
-    Coordinates are integers at the scale of the map's :class:`_Tiles`.
-    """
-
-    __slots__ = ("dom_lo", "dom_hi", "pos_lo", "pos_hi", "sign", "rtime", "home")
-
-    def __init__(self, dom_lo, dom_hi, pos_lo, pos_hi, sign, rtime, home):
-        self.dom_lo = dom_lo
-        self.dom_hi = dom_hi
-        self.pos_lo = pos_lo
-        self.pos_hi = pos_hi
-        self.sign = sign
-        self.rtime = rtime
-        self.home = home
-
-    def split_at(self, c: int) -> tuple["_Piece", "_Piece"]:
-        """Split at position-space point c in (pos_lo, pos_hi); returns (left, right)."""
-        if self.sign == 1:
-            mid = self.dom_lo + (c - self.pos_lo)
-            left = _Piece(self.dom_lo, mid, self.pos_lo, c, 1, self.rtime, self.home)
-            right = _Piece(mid, self.dom_hi, c, self.pos_hi, 1, self.rtime, self.home)
-        else:
-            mid = self.dom_hi - (c - self.pos_lo)
-            left = _Piece(mid, self.dom_hi, self.pos_lo, c, -1, self.rtime, self.home)
-            right = _Piece(self.dom_lo, mid, c, self.pos_hi, -1, self.rtime, self.home)
-        return left, right
+_MAX_APPLICATIONS = 4096
 
 
-def first_return(f: Fiet, cut: Fraction, max_applications: int = 4096) -> Fiet:
+def _tile_exactly(spans: list[tuple], end: int) -> bool:
+    """True iff sorted half-open spans [s[0], s[1]) tile [0, end) exactly."""
+    return [s[0] for s in spans] + [end] == [0] + [s[1] for s in spans]
+
+
+def first_return(f: Fiet, cut: Fraction) -> Fiet:
     """First-return map of f to [0, cut) as an FIET — the induction oracle.
 
     Independent of any induction case analysis: subintervals of [0, cut) are
-    tracked geometrically through the map until every piece has returned, then
-    reassembled into an n-interval FIET.  Labels are inherited from the
-    original domain tile containing each piece; when a tile holds two pieces
-    (one label was pushed out beyond the cut), the piece with the larger
-    return time inherits the missing label.  Raises
-    :class:`OracleInapplicable` whenever the data does not assemble into an
-    n-interval exchange under these rules.
+    walked exactly through the map's integer tiles, each carried as one
+    isometry x -> ±x + c, until every piece has returned, then reassembled
+    into an n-interval FIET.  Labels are inherited from the original domain
+    tile containing each piece; when a tile holds two pieces (one label was
+    pushed out beyond the cut), the piece with the larger return time inherits
+    the missing label.  Raises :class:`OracleInapplicable` whenever the data
+    does not assemble into an n-interval exchange under these rules, or after
+    4096 applications of the map.
     """
     q = Fraction(cut)
     tiles = _Tiles(f, (q,))
@@ -342,94 +317,88 @@ def first_return(f: Fiet, cut: Fraction, max_applications: int = 4096) -> Fiet:
     if not (0 < cut < tiles.L):
         raise DomainError(f"cut {q} outside (0, {Fraction(tiles.L, scale)}]")
 
-    # Initial pieces: [0, cut) split at the original domain breakpoints.
-    pieces: list[_Piece] = []
+    # A piece is (lo, hi, sign, shift, rtime, home): after rtime applications
+    # of the map its points sit in [lo, hi), a point x of [0, cut) at
+    # sign * x + shift, and home labels the domain tile it started in.
+    # Coordinates are integers at the scale of the map's _Tiles.
+    pieces = []
     for label, u, lam, _, _ in tiles.tiles:
         if u >= cut:
             break
-        hi = min(u + lam, cut)
-        pieces.append(_Piece(u, hi, u, hi, 1, 0, label))
+        pieces.append((u, min(u + lam, cut), 1, 0, 0, label))
 
-    done: list[_Piece] = []
-    budget = max_applications
+    done = []
+    budget = _MAX_APPLICATIONS
     while pieces:
         if budget <= 0:
             raise OracleInapplicable("iteration budget exhausted")
-        p = pieces.pop()
-        if p.rtime > 0 and p.pos_hi <= cut:
+        lo, hi, sign, shift, rtime, home = p = pieces.pop()
+        if rtime > 0 and hi <= cut:
             done.append(p)
             continue
-        if p.pos_lo < cut < p.pos_hi:
-            left, right = p.split_at(cut)
-            pieces.extend((left, right))
-            continue
-        # Apply the map to a piece lying in a single domain tile (split if not).
-        label, u, lam, c, flipped = tiles.locate(p.pos_lo)
-        if p.pos_hi > u + lam:
-            left, right = p.split_at(u + lam)
-            pieces.extend((left, right))
-            continue
-        budget -= 1
-        if flipped:
-            p.pos_lo, p.pos_hi = c - p.pos_hi, c - p.pos_lo
-            p.sign = -p.sign
+        # Split at the cut, or else at the end of the domain tile holding lo;
+        # a piece inside one domain tile is mapped.
+        if lo < cut < hi:
+            mid = cut
         else:
-            p.pos_lo, p.pos_hi = c + p.pos_lo, c + p.pos_hi
-        p.rtime += 1
-        pieces.append(p)
+            _, u, lam, c, flipped = tiles.locate(lo)
+            mid = u + lam
+            if hi <= mid:
+                budget -= 1
+                if flipped:
+                    pieces.append((c - hi, c - lo, -sign, c - shift, rtime + 1, home))
+                else:
+                    pieces.append((c + lo, c + hi, sign, c + shift, rtime + 1, home))
+                continue
+        pieces.append((lo, mid, sign, shift, rtime, home))
+        pieces.append((mid, hi, sign, shift, rtime, home))
 
     if len(done) != f.n:
-        raise OracleInapplicable(
-            f"return map has {len(done)} pieces, expected {f.n}"
-        )
+        raise OracleInapplicable(f"return map has {len(done)} pieces, expected {f.n}")
 
-    done.sort(key=lambda p: p.dom_lo)
-    # Exact tilings of [0, cut) in both domain and final positions.
-    lo = 0
+    # Each piece's domain, read off its isometry; exact tilings of [0, cut)
+    # in both domain and final positions.
+    domains = []
     for p in done:
-        if p.dom_lo != lo:
-            raise OracleInapplicable("domain pieces do not tile the cut interval")
-        lo = p.dom_hi
-    if lo != cut:
+        lo, hi, sign, shift, _, _ = p
+        domains.append((lo - shift, hi - shift, p) if sign == 1
+                       else (shift - hi, shift - lo, p))
+    domains.sort()
+    if not _tile_exactly(domains, cut):
         raise OracleInapplicable("domain pieces do not tile the cut interval")
-    lo = 0
-    for p in sorted(done, key=lambda p: p.pos_lo):
-        if p.pos_lo != lo:
-            raise OracleInapplicable("returned pieces do not tile the cut interval")
-        lo = p.pos_hi
-    if lo != cut:
+    done.sort()
+    if not _tile_exactly(done, cut):
         raise OracleInapplicable("returned pieces do not tile the cut interval")
 
     # Label assignment: inherit the home tile's label; one doubled tile hands
-    # the missing label to its later-returning piece.
-    by_home: dict[int, list[_Piece]] = {}
-    for p in done:
-        by_home.setdefault(p.home, []).append(p)
+    # the missing label to its later-returning piece.  The tilings make each
+    # piece's position lo a key.
+    by_home: dict[int, list[tuple]] = {}
+    for _, _, p in domains:
+        by_home.setdefault(p[5], []).append(p)
     missing = [k for k in range(1, f.n + 1) if k not in by_home]
     labels: dict[int, int] = {}
     for home, ps in by_home.items():
         if len(ps) == 1:
-            labels[id(ps[0])] = home
+            labels[ps[0][0]] = home
         elif len(ps) == 2 and len(missing) == 1:
             a, b = ps
-            if a.rtime == b.rtime:
+            if a[4] == b[4]:
                 raise OracleInapplicable(
                     "cannot assign labels: equal return times in a doubled tile"
                 )
-            late, early = (a, b) if a.rtime > b.rtime else (b, a)
-            labels[id(early)] = home
-            labels[id(late)] = missing[0]
+            late, early = (a, b) if a[4] > b[4] else (b, a)
+            labels[early[0]] = home
+            labels[late[0]] = missing[0]
         else:
             raise OracleInapplicable(
                 f"cannot assign labels: tile {home} holds {len(ps)} pieces "
                 f"with {len(missing)} labels missing"
             )
 
-    new_pi0 = tuple(labels[id(p)] for p in done)
-    new_pi1 = tuple(labels[id(p)] for p in sorted(done, key=lambda p: p.pos_lo))
-    new_flips = frozenset(labels[id(p)] for p in done if p.sign == -1)
-    new_lengths = [Fraction(0)] * f.n
-    for p in done:
-        new_lengths[labels[id(p)] - 1] = Fraction(p.dom_hi - p.dom_lo, scale)
+    new_pi0 = tuple(labels[p[0]] for _, _, p in domains)
+    new_pi1 = tuple(labels[p[0]] for p in done)
+    new_flips = frozenset(labels[p[0]] for p in done if p[2] == -1)
+    lengths = {labels[p[0]]: Fraction(p[1] - p[0], scale) for p in done}
     comb = FietCombinatorics(f.n, new_pi0, new_pi1, new_flips)
-    return Fiet(comb, tuple(new_lengths))
+    return Fiet(comb, tuple(lengths[k] for k in range(1, f.n + 1)))

@@ -238,9 +238,6 @@ class RauzyPath:
             raise ValueError(f"path has {self.length} letters; too long to expand")
         return "".join(l * c for l, c in self.runs)
 
-    def __add__(self, other: "RauzyPath") -> "RauzyPath":
-        return RauzyPath(self.runs + other.runs)
-
     def repeat(self, k: int) -> "RauzyPath":
         if k < 0:
             raise ValueError("k must be >= 0")

@@ -168,6 +168,9 @@ def schedule_from_dict(d: dict) -> ParameterSchedule:
         raise ValueError(f"unknown schedule key(s) {sorted(unknown)}")
     if "mode" in d and set(d) <= {"mode"}:
         return named_schedule(d["mode"])
+    if missing := {"d", "p1_1"} - set(d):
+        raise ValueError(f"missing schedule key(s) {sorted(missing)}; "
+                         "a config with 'mode' alone is the other valid form")
     return ParameterSchedule(
         d=d["d"],
         p1_1=d["p1_1"],

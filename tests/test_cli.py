@@ -554,6 +554,9 @@ class TestInputErrors:
         (["step", "--in", "FILE"], {"n": 2, "pi0": [True, 2], "pi1": [2, 1],
                                     "flips": [True], "lengths": ["1/1", "2/1"]}),
         (["step", "--in", "FILE"], dict(TestStep.RIGGED, lengths=[0.5] + ["1/1"] * 7)),
+        (["verify", "--config", "FILE"], {"mode": "relaxed", "d": 128}),
+        (["construct", "--config", "FILE"], {"d": 128}),
+        (["simulate", "--config", "FILE"], {"p1_1": 5}),
     ], ids=[
         "construct-d-1", "verify-d-1", "simulate-d-1", "construct-p1-0",
         "config-list", "config-string", "config-number", "verify-c-10",
@@ -562,6 +565,7 @@ class TestInputErrors:
         "step-float-label", "step-float-flip", "path-float-n", "config-float-d",
         "config-mislabelled-strict", "config-unknown-mode", "config-unknown-key",
         "config-bool-p1", "step-bool-label-and-flip", "step-float-length",
+        "config-mode-and-d", "config-d-only", "config-p1-only",
     ])
     def test_bad_input_exits_two(self, capsys, tmp_path, argv, data):
         if data is not None:

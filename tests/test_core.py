@@ -359,6 +359,46 @@ class TestFirstReturn:
         with pytest.raises(OracleInapplicable):
             first_return(f, 4)
 
+    @pytest.mark.parametrize("pi0, pi1, flips, lengths, cut, message", [
+        ((1, 2), (2, 1), fs(), (1, 5000), 1, "iteration budget exhausted"),
+        ((1, 2), (1, 2), fs(2), (1, 3), 3, "return map has 3 pieces, expected 2"),
+        ((1, 2), (2, 1), fs(1), (3, 1), 2,
+         "cannot assign labels: equal return times in a doubled tile"),
+        ((1, 2, 3), (2, 1, 3), fs(), (4, 2, 1), 3,
+         "cannot assign labels: tile 1 holds 3 pieces with 2 labels missing"),
+    ], ids=["budget", "piece-count", "equal-return-times", "tile-holds-three"])
+    def test_inapplicable_message(self, pi0, pi1, flips, lengths, cut, message):
+        f = Fiet(FietCombinatorics(len(pi0), pi0, pi1, flips), tuple(map(F, lengths)))
+        with pytest.raises(OracleInapplicable) as exc:
+            first_return(f, cut)
+        assert str(exc.value) == message
+
+    @settings(max_examples=300, deadline=None)
+    @given(fiets_st(), st.integers(0, 2), st.data())
+    def test_agrees_with_iterating_the_map(self, f, kind, data):
+        # Any cut the oracle accepts: a fraction of L, L minus one length, or
+        # a domain breakpoint.  Each returned tile's midpoint, iterated under
+        # f until it lands below the cut, lands where the result sends it.
+        total = f.total_length
+        if kind == 0:
+            cut = total * data.draw(st.fractions(0, 1, max_denominator=12))
+        elif kind == 1:
+            cut = total - data.draw(st.sampled_from(f.lengths))
+        else:
+            cut = data.draw(st.sampled_from(domain_partition(f)))[2]
+        if not 0 < cut < total:
+            return
+        try:
+            r = first_return(f, cut)
+        except OracleInapplicable:
+            return
+        for _, lo, hi in domain_partition(r):
+            mid = (lo + hi) / 2
+            x = evaluate(f, mid)
+            while x >= cut:
+                x = evaluate(f, x)
+            assert evaluate(r, mid) == x
+
     @settings(max_examples=150, deadline=None)
     @given(steppable_fiets_st())
     def test_matches_induction_step(self, f):

@@ -183,9 +183,8 @@ class TestRauzyPath:
         p = RauzyPath((("a", 2), ("a", 3), ("b", 1), ("b", 0)))
         assert p.runs == (("a", 5), ("b", 1))
 
-    def test_concat_and_repeat(self):
+    def test_repeat(self):
         p = RauzyPath.from_word("ab")
-        assert (p + p).word() == "abab"
         assert p.repeat(3).word() == "ababab"
         assert RauzyPath.from_word("a").repeat(2).runs == (("a", 2),)
 

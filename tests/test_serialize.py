@@ -203,6 +203,20 @@ class TestSchedulePayload:
         s = schedule_from_dict({"d": 3, "p1_1": 5})
         assert (s.p4_rule, s.p5_rule, s.mode) == ("p2", "p1", "custom")
 
+    @pytest.mark.parametrize("d, missing", [
+        ({"mode": "relaxed", "d": 128}, "['p1_1']"),
+        ({"d": 128}, "['p1_1']"),
+        ({"p1_1": 5}, "['d']"),
+        ({}, "['d', 'p1_1']"),
+    ])
+    def test_missing_key_named(self, d, missing):
+        with pytest.raises(ValueError) as exc:
+            schedule_from_dict(d)
+        assert str(exc.value) == (
+            f"missing schedule key(s) {missing}; "
+            "a config with 'mode' alone is the other valid form"
+        )
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="p4rule"):
             schedule_from_dict({"d": 128, "p1_1": 256, "p4rule": "p3"})
