@@ -22,6 +22,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from typing import Iterable, Sequence
 
@@ -74,8 +75,22 @@ def exact_int(v, name: str) -> int:
     return i
 
 
+@lru_cache(typed=True)
+def _labels(n: int) -> frozenset[int]:
+    """The labels 1..n, built once per n."""
+    return frozenset(range(1, n + 1))
+
+
+def _ints(values):
+    """A tuple or frozenset of ints: ``values`` itself when every value is
+    an int already, else a converted copy."""
+    if set(map(type, values)) <= {int}:
+        return values
+    return type(values)(map(int, values))
+
+
 def _check_permutation(
-    images: Sequence[int], labels: set[int], name: str
+    images: Sequence[int], labels: frozenset[int], name: str
 ) -> tuple[int, ...]:
     """``images`` as a tuple of ints; raises unless its values order ``labels``."""
     images = tuple(images)
@@ -83,7 +98,7 @@ def _check_permutation(
         raise ValueError(
             f"{name} must be a permutation of 1..{len(labels)}, got {images}"
         )
-    return tuple(map(int, images))
+    return _ints(images)
 
 
 @dataclass(frozen=True)
@@ -98,13 +113,13 @@ class FietCombinatorics:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        labels = set(range(1, self.n + 1))
+        labels = _labels(self.n)
         object.__setattr__(self, "pi0", _check_permutation(self.pi0, labels, "pi0"))
         object.__setattr__(self, "pi1", _check_permutation(self.pi1, labels, "pi1"))
         flips = frozenset(self.flips)
         if not flips <= labels:
             raise ValueError(f"flips {set(flips)} not a subset of 1..{self.n}")
-        object.__setattr__(self, "flips", frozenset(map(int, flips)))
+        object.__setattr__(self, "flips", _ints(flips))
 
     @property
     def rightmost_domain_label(self) -> int:

@@ -5,10 +5,12 @@ from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import fiets_st, steppable_fiets_st
+from conftest import combinatorics_st, fiets_st, steppable_fiets_st
+from fiet import verify
+from fiet.core import _Tiles
 from fiet import (
     DomainError,
     Fiet,
@@ -194,6 +196,23 @@ def reference_max_gap(f, xs, done):
     return max(gaps)
 
 
+def check_birkhoff(f, start, horizons):
+    """Every row of birkhoff_frequencies from one start against the
+    reference orbit; returns the report."""
+    xs, labels = reference_orbit(f, start, max(horizons))
+    rep = birkhoff_frequencies(f, (start,), horizons)
+    for r in rep.results:
+        done = min(r.horizon, len(labels))
+        assert r.steps_completed == done
+        assert r.terminated_at == (None if done == r.horizon else done)
+        counts = label_counts(f, labels[:done])
+        assert r.frequencies == tuple(
+            F(c, done) if done else F(0) for c in counts
+        )
+        assert r.max_gap == reference_max_gap(f, xs, done)
+    return rep
+
+
 @st.composite
 def fiet_and_start_st(draw):
     """An FIET and a start j/29 in [0, L): 29 divides no length denominator."""
@@ -228,32 +247,14 @@ class TestKernelAgainstReference:
     @settings(max_examples=60, deadline=None)
     @given(fiet_and_start_st())
     def test_birkhoff_counts_step_by_step(self, fx):
-        f, x = fx
-        xs, labels = reference_orbit(f, x, self.STEPS)
-        rep = birkhoff_frequencies(f, (x,), range(1, self.STEPS + 1))
-        for r in rep.results:
-            done = min(r.horizon, len(labels))
-            assert r.steps_completed == done
-            assert r.terminated_at == (None if done == r.horizon else done)
-            counts = label_counts(f, labels[:done])
-            assert r.frequencies == tuple(
-                F(c, done) if done else F(0) for c in counts
-            )
-            assert r.max_gap == reference_max_gap(f, xs, done)
+        check_birkhoff(*fx, range(1, self.STEPS + 1))
 
     # FLIPPY's flipped left endpoints 0 and 6 are terminal at step 0, and 5
     # reaches 0 after five steps (5 -> 4 -> 3 -> 2 -> 1 -> 0).
     @pytest.mark.parametrize("start, steps", [(F(5), 5), (F(6), 0)])
     def test_birkhoff_max_gap_around_termination(self, start, steps):
-        horizons = (1, 4, 5, 6, 9)
-        xs, labels = reference_orbit(FLIPPY, start, max(horizons))
-        assert len(labels) == steps
-        rep = birkhoff_frequencies(FLIPPY, (start,), horizons)
-        for r in rep.results:
-            done = min(r.horizon, steps)
-            assert r.steps_completed == done
-            assert r.terminated_at == (None if done == r.horizon else steps)
-            assert r.max_gap == reference_max_gap(FLIPPY, xs, done)
+        rep = check_birkhoff(FLIPPY, start, (1, 4, 5, 6, 9))
+        assert rep.results[-1].terminated_at == steps
 
     def test_birkhoff_max_gap_of_a_dense_rotation(self):
         # Gaps finer than the starting grid's cells force a second, finer
@@ -298,6 +299,123 @@ class TestKernelAgainstReference:
                 F(c, 2000) for c in label_counts(f, labels)
             )
             assert r.max_gap == reference_max_gap(f, xs, 2000)
+
+
+@st.composite
+def small_fiet_and_start_st(draw):
+    """An FIET with lengths k/q, q <= 3, and a start j/(2q): its orbits are
+    eventually periodic and cross translation runs within a few thousand
+    steps."""
+    c = draw(combinatorics_st(min_n=2, max_n=4))
+    q = draw(st.sampled_from((1, 2, 3)))
+    f = Fiet(c, tuple(F(draw(st.integers(1, 40)), q) for _ in range(c.n)))
+    j = draw(st.integers(0, int(f.total_length * 2 * q) - 1))
+    return f, F(j, 2 * q)
+
+
+@pytest.fixture
+def jumps(monkeypatch):
+    """(p, steps left, windows crossed, displacement) of each jump taken."""
+    taken = []
+    jump = verify._jump
+
+    def record(tiles, cuts, y, x, p, left, *rest):
+        k = jump(tiles, cuts, y, x, p, left, *rest)
+        if k:
+            taken.append((p, left, k, x - y))
+        return k
+
+    monkeypatch.setattr(verify, "_jump", record)
+    return taken
+
+
+def swap(flips, lengths):
+    """The two-interval exchange (1, 2)/(2, 1) with these flips."""
+    return Fiet(FietCombinatorics(2, (1, 2), (2, 1), flips), lengths)
+
+
+class TestJumpAhead:
+    """The orbit walk crosses translation runs in closed form; every row
+    must still equal the step-by-step reference."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        small_fiet_and_start_st(),
+        st.lists(st.integers(1, 3000), min_size=1, max_size=3),
+    )
+    def test_against_the_reference(self, fx, horizons):
+        check_birkhoff(*fx, horizons)
+
+    def test_horizon_inside_a_run(self, jumps):
+        # 1/2 -> 61/2 -> 59/2 -> ...: a run of x -> x - 1, period 31.
+        f = swap(fs(), (F(1), F(30)))
+        check_birkhoff(f, F(1, 2), (10, 20, 31, 45, 100))
+        assert any(k == left // p for p, left, k, _ in jumps)
+        assert any(delta for *_, delta in jumps)
+
+    def test_termination_right_after_a_run(self, jumps):
+        # 29 -> 28 -> ... -> 0, the left end of the flipped tile: the run
+        # jumped at step 7 ends on the terminal point at step 29.
+        f = swap(fs(1), (F(1), F(30)))
+        rep = check_birkhoff(f, F(29), (5, 29, 30, 100))
+        assert [r.terminated_at for r in rep.results] == [None, None, 29, 29]
+        assert jumps[-1] == (1, 22, 22, -2)
+
+    def test_run_ending_on_a_flipped_left_end(self):
+        # Every tile is flipped, so two steps make a translation: tile 3
+        # sees 13, 15, 17 while tile 2 sees 6, 4, 2, its own left end,
+        # where the orbit stops at step 11.  No jump may step onto it.
+        f = Fiet(
+            FietCombinatorics(3, (1, 2, 3), (3, 1, 2), fs(1, 2, 3)),
+            (F(2), F(5), F(12)),
+        )
+        rep = check_birkhoff(f, F(14), (5, 12, 200))
+        assert [r.terminated_at for r in rep.results] == [None, 11, 11]
+
+    def test_orientation_reversing_window_is_not_crossed(self):
+        # 6 -> 1 -> 5 -> 2 -> 6: T^2 is x -> 3 - x near 1 and sends 1 to 2,
+        # so 1, 2, 3, ... is no orbit progression.
+        check_birkhoff(swap(fs(2), (F(3), F(4))), F(6), (3, 50))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        small_fiet_and_start_st(),
+        st.lists(st.integers(1, 3000), min_size=1, max_size=3),
+        st.integers(0, 10),
+    )
+    # 0 -> 2 -> 4 -> ... -> 8 -> 10 -> 1 -> ... -> 9: runs whose terms fall
+    # on the first point of a cell (scale 2, cells of width 8).
+    @example((swap(fs(2), (F(9), F(2))), F(0)), [20], 3)
+    def test_walk_on_any_grid(self, fx, horizons, s):
+        # The kernel's own contract, on cells of width 2**s: the largest
+        # gap between the per-cell extremes of the visited points.
+        f, start = fx
+        horizons = tuple(sorted(set(horizons)))
+        kernel = _Tiles(f, (start,))
+        rows = verify._walk(kernel, int(start * kernel.scale), horizons, s)
+        xs, labels = reference_orbit(f, start, horizons[-1])
+        for h, (done, counts, gap) in zip(horizons, rows):
+            assert done == min(h, len(labels))
+            assert counts == label_counts(f, labels[:done])
+            cells = {}
+            for v in xs[: max(done, 1)]:
+                v = int(v * kernel.scale)
+                lo, hi = cells.get(v >> s, (v, v))
+                cells[v >> s] = (min(lo, v), max(hi, v))
+            want = prev = 0
+            for cell in sorted(cells):
+                want = max(want, cells[cell][0] - prev)
+                prev = cells[cell][1]
+            assert gap == max(want, kernel.L - prev)
+
+    def test_coarse_to_fine_rewalk(self, jumps):
+        # One period visits every half-integer of [0, 10001): gaps of 1,
+        # narrower than a cell of the starting grid, so the start is
+        # walked again on a finer one.
+        f = swap(fs(), (F(1), F(10000)))
+        rep = check_birkhoff(f, F(1, 2), (5000, 10001, 12000))
+        assert rep.results[-1].max_gap == 1 < f.total_length / 4096
+        assert jumps
 
 
 class TestFirstReturn:

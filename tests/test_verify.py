@@ -454,10 +454,23 @@ class TestBirkhoffFrequencies:
         with pytest.raises(ValueError):
             birkhoff_frequencies(ROTATION, (Fraction(3),), 5)
 
-    @pytest.mark.parametrize("horizons", [(), (0,), 0])
+    @pytest.mark.parametrize("horizons", [(), (0,), 0, (2.5, 10), True])
     def test_horizons_must_be_positive(self, horizons):
         with pytest.raises(ValueError):
             birkhoff_frequencies(ROTATION, (Fraction(1, 2),), horizons)
+
+    def test_periodic_orbit_jumps_to_the_horizon(self):
+        # 1/2 -> 5/2 -> 3/2 -> 1/2: period three, once in tile 1.  Only the
+        # jump of a periodic orbit straight to its horizon finishes this.
+        h = 10**12
+        rep = birkhoff_frequencies(ROTATION, (Fraction(1, 2),), (h, h + 1))
+        for r, steps in zip(rep.results, (h, h + 1)):
+            visits = (steps + 2) // 3
+            assert r.steps_completed == steps
+            assert r.frequencies == (
+                Fraction(visits, steps), Fraction(steps - visits, steps)
+            )
+            assert r.max_gap == 1
 
     def test_midpoint_starts(self):
         assert midpoint_starts(ROTATION) == (Fraction(1, 2), Fraction(2))
