@@ -259,6 +259,8 @@ def _cmd_verify(args) -> int:
         family=args.family,
         include_matrix_report=not args.no_matrix_report,
     )
+    # Every verdict is decided by now; each tower level's records are built
+    # as the level is written.
     payload = serialize.verify_report_to_dict(report)
     with _output(args.out) as fh:
         serialize.dump_json(payload, fh)

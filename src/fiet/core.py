@@ -67,10 +67,14 @@ class OracleInapplicable(FietError):
 def exact_int(v, name: str) -> int:
     """``v`` as an int; raises ValueError unless its value is an integer.
 
-    A bool is rejected too: JSON ``true`` is not the label or count 1.
+    A bool is rejected too: JSON ``true`` is not the label or count 1, and
+    so is an infinity or a NaN, which ``int`` cannot convert.
     """
-    i = int(v)
-    if i != v or isinstance(v, bool):
+    try:
+        i = int(v)
+    except (OverflowError, ValueError):
+        i = None
+    if i is None or i != v or isinstance(v, bool):
         raise ValueError(f"{name} must be an integer, got {v!r}")
     return i
 

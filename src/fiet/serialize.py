@@ -14,7 +14,7 @@ import re
 import sys
 from fractions import Fraction
 from itertools import islice
-from typing import Optional, Sequence, TextIO
+from typing import Callable, Optional, Sequence, TextIO
 
 from .core import Fiet, FietCombinatorics, exact_int
 from .construction import NAMED_SCHEDULES, LimitReport, ParameterSchedule
@@ -207,13 +207,33 @@ def limit_report_to_dict(rep: LimitReport, precision: int = 12) -> dict:
     }
 
 
+class Deferred:
+    """A JSON value built only when it is written: :func:`dump_json` (or any
+    encoder given :func:`json_default`) calls ``build`` when it reaches the
+    value and encodes what it returns, which is then dropped."""
+
+    __slots__ = ("build",)
+
+    def __init__(self, build: Callable[[], object]) -> None:
+        self.build = build
+
+
+def json_default(o):
+    """The ``default`` hook that renders a :class:`Deferred` value."""
+    if isinstance(o, Deferred):
+        return o.build()
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
 def verify_report_to_dict(report: dict, precision: int = 12) -> dict:
     """JSON-ready form of the dict produced by verify.verify_all.
 
+    Each tower level's record list is :class:`Deferred`: the level's
+    records, their dicts and their digits are built when the writer
+    reaches that level, so a written report holds one level at a time.
     A record list repeats its integers (a level's total is the denominator
     of most of its values), so each distinct integer of one list is
-    converted to decimal once.  The memo lives for one list (one tower
-    level), so it never holds the digits of the whole report.
+    converted to decimal once.
     """
     def records(recs) -> list[dict]:
         digits: dict[int, str] = {}
@@ -226,12 +246,13 @@ def verify_report_to_dict(report: dict, precision: int = 12) -> dict:
 
         return [record_to_dict(r, fraction) for r in recs]
 
+    def level_records(tower, level) -> Deferred:
+        return Deferred(lambda: records(tower[level]))
+
     towers = {}
     for key in ("lambda7", "lambda5", "lambda2"):
-        towers[key] = {
-            str(level): records(recs)
-            for level, recs in report["towers"][key].items()
-        }
+        tower = report["towers"][key]
+        towers[key] = {str(level): level_records(tower, level) for level in tower}
     vectors = {
         key: vector_to_strs(vec)
         for key, vec in report["towers"]["vectors"].items()
@@ -325,7 +346,6 @@ def frequency_report_csv(report: FrequencyReport, precision: int = 12) -> str:
 # 100-200 characters on average in a verify report), so a write holds tens
 # of kilobytes of a report of megabytes.
 _CHUNKS_PER_WRITE = 256
-_ENCODER = json.JSONEncoder(indent=2, sort_keys=True)
 _PLACEHOLDER = re.compile(r'"\\u0000(\d+)"')
 
 
@@ -334,25 +354,34 @@ def dump_json(obj, stream: Optional[TextIO] = None) -> Optional[str]:
 
     Given a text ``stream``, the document is written to it in batches of
     encoder chunks and nothing is returned, so no copy of the whole text is
-    ever held.  Without one, the same text is returned.
+    ever held.  Without one, the same text is returned.  A
+    :class:`Deferred` value is built when the encoder reaches it.
 
     Integers past the interpreter's digit limit, which the encoder refuses,
     are still written as JSON numbers: each is swapped for a placeholder
     string (a NUL and an index, which no payload string starts with), and in
     each batch the placeholder's quoted form is replaced by the
-    :func:`int_to_str` digits.  The encoder yields every string within one
-    chunk, so a placeholder never spans two batches.
+    :func:`int_to_str` digits.  A deferred value is swapped the same way
+    once built.  The encoder yields every string within one chunk, so a
+    placeholder never spans two batches.
     """
     out = io.StringIO() if stream is None else stream
     digits: list[str] = []
     limit = _max_str_digits()
-    payload = _swap_big_ints(obj, 3 * limit, digits) if limit else obj
-    chunks = _ENCODER.iterencode(payload)
-    while batch := list(islice(chunks, _CHUNKS_PER_WRITE)):
-        text = "".join(batch)
+    if limit:
+        payload = _swap_big_ints(obj, 3 * limit, digits)
+
+        def default(o):
+            return _swap_big_ints(json_default(o), 3 * limit, digits)
+    else:
+        payload, default = obj, json_default
+    encoder = json.JSONEncoder(indent=2, sort_keys=True, default=default)
+    chunks = encoder.iterencode(payload)
+    while text := "".join(islice(chunks, _CHUNKS_PER_WRITE)):
         if digits:
             text = _PLACEHOLDER.sub(lambda m: digits[int(m[1])], text)
         out.write(text)
+        del text  # before the encoder builds the next batch
     out.write("\n")
     return out.getvalue() if stream is None else None
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -73,40 +74,52 @@ class InequalityRecord:
 class _Records:
     """Records whose non-constant sides share one positive denominator ``den``.
 
-    A side is either an int n, read as the value n / den (an integer linear
-    form in a level's coordinates, read over their total), or a Fraction
-    constant.  ``holds`` is the sign of the cross-multiplied difference, an
-    integer; lhs, rhs and margin are built as Fractions only once per
-    distinct value.
+    A side is an int n, read as the value n / den (an integer linear form in
+    a level's coordinates, read over their total), a pair (n, d) of ints
+    with d > 0, read as the constant n / d, or a Fraction constant.
+    ``holds`` is the sign of the cross-multiplied difference, an integer.
+    With ``build`` false a call returns only that verdict and builds no
+    Fraction; otherwise it returns the record, whose lhs, rhs and margin are
+    built as Fractions only once per distinct value.
     """
 
-    def __init__(self, den: int) -> None:
+    def __init__(self, den: int, build: bool = True) -> None:
         self.den = den
+        self.build = build
         self._values: dict[tuple[int, int], Fraction] = {}
 
     def _fraction(self, num: int, den: int) -> Fraction:
         q = self._values.get((num, den))
         if q is None:
-            q = self._values[num, den] = Fraction(num, den)
+            # An integer needs no gcd.
+            q = Fraction(num) if den == 1 else Fraction(num, den)
+            self._values[num, den] = q
         return q
 
-    def _side(self, side) -> tuple[int, int, Fraction]:
-        if isinstance(side, Fraction):
-            return side.numerator, side.denominator, side
-        return side, self.den, self._fraction(side, self.den)
+    def _value(self, side, num: int, den: int) -> Fraction:
+        return side if isinstance(side, Fraction) else self._fraction(num, den)
 
-    def __call__(
-        self, lemma_id: str, item: str, lhs, rhs, strict: bool = True
-    ) -> InequalityRecord:
-        ln, ld, lq = self._side(lhs)
-        rn, rd, rq = self._side(rhs)
+    def _side(self, side) -> tuple[int, int]:
+        if type(side) is int:
+            return side, self.den
+        if type(side) is tuple:
+            return side
+        return side.numerator, side.denominator
+
+    def __call__(self, lemma_id: str, item: str, lhs, rhs, strict: bool = True):
+        ln, ld = self._side(lhs)
+        rn, rd = self._side(rhs)
         if ld == rd:
             num, den = ln - rn, ld
         else:
             num, den = ln * rd - rn * ld, ld * rd
         holds = num > 0 if strict else num >= 0
-        margin = self._fraction(num, den)
-        return InequalityRecord(lemma_id, item, lq, rq, margin, holds, strict)
+        if not self.build:
+            return holds
+        return InequalityRecord(
+            lemma_id, item, self._value(lhs, ln, ld), self._value(rhs, rn, rd),
+            self._fraction(num, den), holds, strict,
+        )
 
 
 def _projective(x: Sequence) -> tuple[tuple[int, ...], int]:
@@ -147,25 +160,31 @@ def check_lemma1(
     at that level; ``d`` (optional) asserts the geometric shape p2 = d*p1,
     p3 = d*p2 of ``t`` before checking.
     """
+    return _lemma1(x, t, d, build=True)
+
+
+def _lemma1(x, t, d, build):
+    """Lemma 1's records, or with ``build`` false only whether each holds
+    (see :class:`_Records`).  So do the other suites below."""
     w, s = _projective(x)
     _check_triple_shape(t, d)
-    rec = _Records(s)
+    rec = _Records(s, build)
     # x1 .. x8 are integer coordinates; an int side is read over s.
     x1, x2, x3, x4, x5, x6, x7, x8 = w
     growth = sum(c * e for c, e in zip(reference_column_sums(t), w))
     return [
-        rec("L1", "x7 > 1/7", x7, Fraction(1, 7)),
+        rec("L1", "x7 > 1/7", x7, (1, 7)),
         rec("L1", "2*x7 > x1", 2 * x7, x1),
         rec("L1", "2*x7 > x4", 2 * x7, x4),
         rec("L1", "2*x7 > x8", 2 * x7, x8),
         rec("L1", "4*x7 > x3", 4 * x7, x3),
         rec("L1", "x7 > x5", x7, x5),
-        rec("L1", "x5 < 1/10", Fraction(1, 10), x5),
+        rec("L1", "x5 < 1/10", (1, 10), x5),
         rec("L1", "x6 > x2", x6, x2),
         rec("L1", "x3 > x7", x3, x7),
-        rec("L1", "x2 < 1/p1", Fraction(1, t.p1), x2),
-        rec("L1", "growth > p2/2", growth, Fraction(t.p2, 2)),
-        rec("L1", "growth > 2*p1", growth, Fraction(2 * t.p1)),
+        rec("L1", "x2 < 1/p1", (1, t.p1), x2),
+        rec("L1", "growth > p2/2", growth, (t.p2, 2)),
+        rec("L1", "growth > 2*p1", growth, (2 * t.p1, 1)),
     ]
 
 
@@ -175,23 +194,27 @@ def check_lemma2(x: Sequence, t: PathParameters) -> list[InequalityRecord]:
     The record ``x6 + x7 >= x8`` is the one non-strict inequality in the
     suite (its margin vanishes in the limit direction).
     """
+    return _lemma2(x, t, build=True)
+
+
+def _lemma2(x, t, build):
     w, s = _projective(x)
-    rec = _Records(s)
+    rec = _Records(s, build)
     x1, x2, x3, x4, x5, x6, x7, x8 = w
     growth = sum(c * e for c, e in zip(reference_column_sums(t), w))
     return [
-        rec("L2", "x5 > 1/4", x5, Fraction(1, 4)),
+        rec("L2", "x5 > 1/4", x5, (1, 4)),
         rec("L2", "2*x3 > x1", 2 * x3, x1),
         rec("L2", "x3 + x5 > x1", x3 + x5, x1),
         rec("L2", "3*x6 + x7 > x4", 3 * x6 + x7, x4),
         rec("L2", "x6 + x7 >= x8", x6 + x7, x8, strict=False),
-        rec("L2", "x2 < 1/p1", Fraction(1, t.p1), x2),
-        rec("L2", "x6 < 7/p1", Fraction(7, t.p1), x6),
-        rec("L2", "x7 < 1/p1", Fraction(1, t.p1), x7),
-        rec("L2", "x8 < 22/p1", Fraction(22, t.p1), x8),
-        rec("L2", "x8 < 8/p1", Fraction(8, t.p1), x8),
-        rec("L2", "x4 < 22/p1", Fraction(22, t.p1), x4),
-        rec("L2", "growth > p1", growth, Fraction(t.p1)),
+        rec("L2", "x2 < 1/p1", (1, t.p1), x2),
+        rec("L2", "x6 < 7/p1", (7, t.p1), x6),
+        rec("L2", "x7 < 1/p1", (1, t.p1), x7),
+        rec("L2", "x8 < 22/p1", (22, t.p1), x8),
+        rec("L2", "x8 < 8/p1", (8, t.p1), x8),
+        rec("L2", "x4 < 22/p1", (22, t.p1), x4),
+        rec("L2", "growth > p1", growth, (t.p1, 1)),
     ]
 
 
@@ -203,17 +226,25 @@ def check_lemma3(
     Requires c > 10.  When ``t`` is given, also records the size
     precondition p3 > 2*p1 + 4*p2 + 61 the domination argument relies on.
     """
+    return _lemma3(x, c, t, build=True)
+
+
+def _check_c(c: int) -> None:
     if c <= 10:
         raise ValueError(f"c must exceed 10, got {c}")
+
+
+def _lemma3(x, c, t, build):
+    _check_c(c)
     w, s = _projective(x)
-    rec = _Records(s)
+    rec = _Records(s, build)
     records = [
         rec("L3", f"{c}*x2 > x{i}", c * w[1], w[i - 1])
         for i in (1, 3, 4, 5, 6, 7, 8)
     ]
     if t is not None:
         records.append(rec("L3", "p3 > 2*p1 + 4*p2 + 61",
-                           Fraction(t.p3), Fraction(2 * t.p1 + 4 * t.p2 + 61)))
+                           (t.p3, 1), (2 * t.p1 + 4 * t.p2 + 61, 1)))
     return records
 
 
@@ -225,14 +256,22 @@ def check_lemma4(
     Requires b > 33.  When ``t`` is given, also records the sufficient size
     condition (b-33)*(p3-49) > 33*49.
     """
+    return _lemma4(x, b, t, build=True)
+
+
+def _check_b(b: int) -> None:
     if b <= 33:
         raise ValueError(f"b must exceed 33, got {b}")
+
+
+def _lemma4(x, b, t, build):
+    _check_b(b)
     w, s = _projective(x)
-    rec = _Records(s)
-    records = [rec("L4", f"x2 > 1/{b}", w[1], Fraction(1, b))]
+    rec = _Records(s, build)
+    records = [rec("L4", f"x2 > 1/{b}", w[1], (1, b))]
     if t is not None:
         records.append(rec("L4", f"(b-33)*(p3-49) > 33*49, b={b}",
-                           Fraction((b - 33) * (t.p3 - 49)), Fraction(33 * 49)))
+                           ((b - 33) * (t.p3 - 49), 1), (33 * 49, 1)))
     return records
 
 
@@ -284,6 +323,34 @@ def checked_levels(m: int) -> tuple[int, ...]:
     return tuple(range(1, COPIES_PER_BLOCK * m - BURN_IN_LEVELS + 1))
 
 
+class TowerRecords(Mapping):
+    """One tower's inequality records by level, built each time a level is read.
+
+    Only the integer level vectors are held (``vectors``, level -> w).
+    ``check(j, w)`` builds level j's records and ``verdicts(j, w)`` says
+    whether each of them holds, in the same order, on integers alone.  So a
+    report that is written level by level holds one level's records at a
+    time.
+    """
+
+    def __init__(self, vectors: dict[int, tuple[int, ...]], check, verdicts):
+        self.vectors = vectors
+        self._check = check
+        self._verdicts = verdicts
+
+    def __getitem__(self, level: int) -> list[InequalityRecord]:
+        return self._check(level, self.vectors[level])
+
+    def __iter__(self):
+        return iter(self.vectors)
+
+    def __len__(self) -> int:
+        return len(self.vectors)
+
+    def verdicts(self, level: int) -> list[bool]:
+        return self._verdicts(level, self.vectors[level])
+
+
 def lemma_towers(
     schedule: ParameterSchedule,
     m: int,
@@ -291,36 +358,49 @@ def lemma_towers(
     b: int = 34,
     family: str = "reference",
 ) -> dict:
-    """Run all four inequality groups on their towers down to depth m blocks.
+    """The four inequality groups on their towers down to depth m blocks.
 
-    Returns {"lambda7": {level: records}, "lambda5": ..., "lambda2": ...}
-    where the lambda2 tower carries both its domination (L3) and lower-bound
-    (L4) records, and additionally the level-1 vectors under "vectors".
-    The checks read each level's integer vector w_j directly, as w_j / S_j.
+    Returns {"lambda7": records by level, "lambda5": ..., "lambda2": ...},
+    each a :class:`TowerRecords` over the checked levels, where the lambda2
+    tower carries both its domination (L3) and lower-bound (L4) records,
+    and additionally the level-1 vectors under "vectors".  The checks read
+    each level's integer vector w_j directly, as w_j / S_j.
     """
     levels = checked_levels(m)
+    _check_c(c)
+    _check_b(b)
     matrices = [theta_copy(schedule, j, family)
                 for j in range(1, COPIES_PER_BLOCK * m + 1)]
+    # The recursion runs from the seed level down; a tower reads upward.
     t7, t5, t2 = (
-        {j: w for j, w, _ in _tower(matrices, seed)} for seed in (7, 5, 2)
+        dict(reversed([(j, w) for j, w, _ in _tower(matrices, seed)
+                       if j in levels]))
+        for seed in (7, 5, 2)
     )
-    out = {
-        "lambda7": {
-            j: check_lemma1(t7[j], schedule.params(j), schedule.d) for j in levels
-        },
-        "lambda5": {j: check_lemma2(t5[j], schedule.params(j)) for j in levels},
-        "lambda2": {
-            j: check_lemma3(t2[j], c, schedule.params(j))
-            + check_lemma4(t2[j], b, schedule.params(j))
-            for j in levels
-        },
+    p, d = schedule.params, schedule.d
+    return {
+        "lambda7": TowerRecords(
+            t7,
+            lambda j, w: check_lemma1(w, p(j), d),
+            lambda j, w: _lemma1(w, p(j), d, build=False),
+        ),
+        "lambda5": TowerRecords(
+            t5,
+            lambda j, w: check_lemma2(w, p(j)),
+            lambda j, w: _lemma2(w, p(j), build=False),
+        ),
+        "lambda2": TowerRecords(
+            t2,
+            lambda j, w: check_lemma3(w, c, p(j)) + check_lemma4(w, b, p(j)),
+            lambda j, w: (_lemma3(w, c, p(j), build=False)
+                          + _lemma4(w, b, p(j), build=False)),
+        ),
         "vectors": {
             "lambda7": normalize(t7[1]),
             "lambda5": normalize(t5[1]),
             "lambda2": normalize(t2[1]),
         },
     }
-    return out
 
 
 def check_separation(
@@ -381,8 +461,10 @@ def verify_all(
     """Full verification pipeline at depth m blocks.
 
     Returns a report with the schedule's validity flags, every tower
-    inequality record at every checked level, the separation records on the
-    level-1 vectors, and (optionally) the matrix fidelity report.  The
+    inequality record at every checked level (under "towers", one
+    :class:`TowerRecords` per tower, which builds a level when it is read),
+    the separation records on the level-1 vectors, the count and the list
+    of failing records, and (optionally) the matrix fidelity report.  The
     "passed" flag is True iff every record holds AND, when the fidelity
     report is included, the reference-family sum identities hold AND, at
     each fidelity parameter set, the two families are equal entry-wise or
@@ -398,10 +480,18 @@ def verify_all(
         towers["vectors"]["lambda7"],
         schedule.params(1),
     )
-    all_records = separation[:]
+    # Every verdict is decided on integers first, and only a level with a
+    # failing record is built here, so the totals and the failing records
+    # are known before any level is written.
+    total = len(separation)
+    failing = [r for r in separation if not r.holds]
     for key in ("lambda7", "lambda5", "lambda2"):
-        for recs in towers[key].values():
-            all_records.extend(recs)
+        tower = towers[key]
+        for level in tower:
+            verdicts = tower.verdicts(level)
+            total += len(verdicts)
+            if not all(verdicts):
+                failing += [r for r in tower[level] if not r.holds]
     report = {
         "schedule": schedule,
         "validity": schedule.validity(b),
@@ -410,8 +500,8 @@ def verify_all(
         "checked_levels": checked_levels(m),
         "towers": towers,
         "separation": separation,
-        "records_total": len(all_records),
-        "records_failing": [r for r in all_records if not r.holds],
+        "records_total": total,
+        "records_failing": failing,
     }
     matrix_ok = True
     if include_matrix_report:

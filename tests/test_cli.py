@@ -576,6 +576,15 @@ class TestInputErrors:
         assert out == ""
         assert err.startswith("error: ")
 
+    def test_config_with_an_overflowing_d_names_d(self, capsys, tmp_path):
+        # JSON reads 1e400 as a float infinity.
+        path = tmp_path / "c.json"
+        path.write_text('{"d": 1e400, "p1_1": 256}', encoding="utf-8")
+        code, out, err = run(capsys, ["construct", "--config", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "d must be an integer, got inf" in err
+
     @pytest.mark.parametrize("raw", [
         b"\xff\xfe not utf-8",
         b"[" * 100_000 + b"]" * 100_000,

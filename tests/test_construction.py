@@ -412,6 +412,12 @@ class TestParameterSchedule:
         with pytest.raises(ValueError):
             ParameterSchedule(**kwargs)
 
+    @pytest.mark.parametrize("d", [float("inf"), float("-inf"), float("nan"), 1e400],
+                             ids=["inf", "-inf", "nan", "1e400"])
+    def test_non_finite_d_is_a_value_error(self, d):
+        with pytest.raises(ValueError, match=f"d must be an integer, got {d!r}"):
+            ParameterSchedule(d=d, p1_1=256)
+
     def test_named_values_keep_their_label(self):
         assert ParameterSchedule(d=128, p1_1=256, mode="relaxed") == (
             ParameterSchedule.relaxed()

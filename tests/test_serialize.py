@@ -360,7 +360,9 @@ class TestDumpJsonStream:
         payload = verify_payload(3)
         text = self.written(payload, tmp_path)
         assert text == dump_json(payload)
-        assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        # Tower levels are deferred; the same hook renders them for json.dumps.
+        assert text == json.dumps(payload, indent=2, sort_keys=True,
+                                  default=serialize.json_default) + "\n"
 
     @pytest.mark.parametrize("chunks_per_write", [1, 7])
     def test_over_limit_integers(self, tmp_path, monkeypatch, power_matrix,
@@ -381,6 +383,21 @@ class TestDumpJsonStream:
     def test_empty_containers(self, tmp_path, payload):
         assert self.written(payload, tmp_path) == dump_json(payload) \
             == json.dumps(payload) + "\n"
+
+    def test_whole_pipeline_memory_stays_below_the_output(self, tmp_path):
+        # Verify, convert and write: the tower levels are built one at a time
+        # as they are written, so no stage holds the whole report.
+        out = tmp_path / "out.json"
+        tracemalloc.start()
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                dump_json(verify_payload(8), fh)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = out.stat().st_size
+        assert size > 5_000_000
+        assert peak < size / 4
 
     def test_memory_stays_below_the_output(self, tmp_path):
         payload = verify_payload(5)

@@ -386,6 +386,26 @@ class TestVerifyAll:
         items = {r.item for r in rep["records_failing"]}
         assert "x7 > 1/7" in items
 
+    @pytest.mark.parametrize("schedule, depth", [
+        (SMALL, 1), (SMALL, 2), (SMALL, 3), (ParameterSchedule.relaxed(), 3),
+    ], ids=["small-1", "small-2", "small-3", "relaxed-3"])
+    def test_integer_verdicts_agree_with_the_records(self, schedule, depth):
+        rep = verify_all(schedule, depth, include_matrix_report=False)
+        records = list(rep["separation"])
+        for key in ("lambda7", "lambda5", "lambda2"):
+            tower = rep["towers"][key]
+            assert list(tower) == list(rep["checked_levels"])
+            for level in tower:
+                recs = tower[level]
+                assert tower[level] == recs  # a level reads the same twice
+                assert tower.verdicts(level) == [r.holds for r in recs]
+                records += recs
+        # A verdict is the sign of the record's exact margin.
+        assert all(r.holds == (r.margin > 0 if r.strict else r.margin >= 0)
+                   for r in records)
+        assert rep["records_total"] == len(records)
+        assert rep["records_failing"] == [r for r in records if not r.holds]
+
     def test_validity_flags_carried_in_report(self):
         sabotaged = ParameterSchedule(d=128, p1_1=10)
         rep = verify_all(sabotaged, 1)
@@ -458,6 +478,13 @@ class TestBirkhoffFrequencies:
     def test_horizons_must_be_positive(self, horizons):
         with pytest.raises(ValueError):
             birkhoff_frequencies(ROTATION, (Fraction(1, 2),), horizons)
+
+    @pytest.mark.parametrize("horizon", [float("inf"), float("-inf"),
+                                         float("nan"), 1e400],
+                             ids=["inf", "-inf", "nan", "1e400"])
+    def test_non_finite_horizon_is_a_value_error(self, horizon):
+        with pytest.raises(ValueError, match="horizon must be an integer, got"):
+            birkhoff_frequencies(ROTATION, (Fraction(1, 2),), (horizon,))
 
     def test_periodic_orbit_jumps_to_the_horizon(self):
         # 1/2 -> 5/2 -> 3/2 -> 1/2: period three, once in tile 1.  Only the
