@@ -20,9 +20,9 @@ the product of M0(p_j) P over its three copies.
 Two matrix families live here.  The **computed** family evaluates M0; its
 cone drives length-driven induction along the path letter for letter, and
 it gives the limit lengths, simulation and contraction.  The **reference**
-family is a closed-form matrix in (p1, p2, p3) whose column sums are the
-eight expansion coefficients of the inequality suite in :mod:`fiet.verify`,
-which uses it by default.  The families differ entry-wise;
+family is the copy polynomial of a second word gamma_ref(p1, p2, p3); its
+column sums are the eight expansion coefficients of the inequality suite in
+:mod:`fiet.verify`, which uses it by default.  The families differ entry-wise;
 :func:`matrix_fidelity_report` reports how, exactly.
 """
 
@@ -80,7 +80,7 @@ class PathParameters:
     def __post_init__(self) -> None:
         for name in ("p1", "p2", "p3", "p4", "p5"):
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
+            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
 
 
@@ -90,6 +90,13 @@ PATH_RUNS = (
     ("b", 1), ("a", 1), ("b", "p2"), ("a", 1), ("b", 2), ("a", "p3"),
     ("b", 1), ("a", 4), ("b", "p4"), ("a", 1), ("b", 2), ("a", 1), ("b", 2),
     ("a", "p5"), ("b", 2), ("a", 1),
+)
+
+# The reference word gamma_ref: 38 fixed letters and runs p1, p2, p3.
+REFERENCE_RUNS = (
+    ("a", 4), ("b", 2), ("a", 5), ("b", 3), ("a", 3), ("b", 1), ("a", "p1"),
+    ("b", 1), ("a", 3), ("b", 1), ("a", 5), ("b", 3), ("a", "p2"), ("b", 1),
+    ("a", 2), ("b", 1), ("a", 1), ("b", 1), ("a", 1), ("b", "p3"),
 )
 
 
@@ -110,8 +117,10 @@ def theta_gamma_p(
     return apply_path(start if start is not None else base_datum(), build_path(t))
 
 
-def copy_polynomial(start: FietCombinatorics) -> tuple[FietCombinatorics, Mapping]:
-    """The path from ``start`` with p1..p5 as symbols: (end state, matrix).
+def copy_polynomial(
+    start: FietCombinatorics, runs: Sequence = PATH_RUNS
+) -> tuple[FietCombinatorics, Mapping]:
+    """The word ``runs`` from ``start``, parameters as symbols: (end state, matrix).
 
     The matrix maps each monomial (a sorted tuple of parameter names) to its
     non-zero integer coefficient columns.  A fixed letter is col_l += col_w in
@@ -120,7 +129,7 @@ def copy_polynomial(start: FietCombinatorics) -> tuple[FietCombinatorics, Mappin
     n = N_LABELS
     poly = {(): [[int(i == j) for i in range(n)] for j in range(n)]}
     state = start
-    for letter, run in PATH_RUNS:
+    for letter, run in runs:
         fixed = isinstance(run, int)
         for _ in range(run if fixed else 1):
             out = symbolic_step(state, letter)
@@ -160,9 +169,10 @@ def _power(sigma: Sequence[int], k: int) -> tuple[int, ...]:
     return out
 
 
-@lru_cache(maxsize=1)
-def base_copy() -> tuple[Mapping, tuple[int, ...]]:
-    """(M0, sigma): the copy polynomial at the base state and its relabelling.
+@lru_cache(maxsize=2)
+def base_copy(runs: Sequence = PATH_RUNS) -> tuple[Mapping, tuple[int, ...]]:
+    """(M0, sigma): the copy polynomial of ``runs`` at the base state and its
+    relabelling.
 
     sigma, as the images of labels 1..8, is read off the end state:
     sigma(base.pi0[i]) = end.pi0[i].  A step never looks at label names, so
@@ -171,7 +181,7 @@ def base_copy() -> tuple[Mapping, tuple[int, ...]]:
     :class:`ConstructionBrokenError`.
     """
     base = base_datum()
-    end, poly = copy_polynomial(base)
+    end, poly = copy_polynomial(base, runs)
     image = dict(zip(base.pi0, end.pi0))
     sigma = tuple(image[a] for a in range(1, N_LABELS + 1))
     if _relabel(base, sigma) != end:
@@ -190,22 +200,12 @@ def cycle_states() -> tuple[FietCombinatorics, ...]:
 
 
 def reference_theta(t: PathParameters) -> TransitionMatrix:
-    """The closed-form reference matrix in (p1, p2, p3).
+    """The reference matrix: the copy polynomial of gamma_ref at (p1, p2, p3).
 
     Its column sums are the eight expansion coefficients consumed by the
     inequality suite; p4 and p5 do not appear.
     """
-    p1, p2, p3 = t.p1, t.p2, t.p3
-    return TransitionMatrix((
-        (9, 8 * p3 + 7, p1 + 4, 13, p1 + 5, p2 + 6, p2 + 7, 8),
-        (1, p3 + 1, 0, 2, 0, 0, 0, 1),
-        (9, 9 * p3 + 8, p1 + 3, 14, p1 + 4, 2 * p2 + 6, 2 * p2 + 8, 9),
-        (6, 6 * p3 + 5, 3, 9, 3, p2 + 4, p2 + 5, 6),
-        (0, 0, p1, 0, p1 + 1, 0, 0, 0),
-        (4, 4 * p3 + 3, 1, 6, 1, 3, 3, 4),
-        (0, 0, 0, 0, 0, p2, p2 + 1, 0),
-        (3, 4 * p3 + 3, 1, 5, 1, p2 + 2, p2 + 3, 4),
-    ))
+    return polynomial_at(base_copy(REFERENCE_RUNS)[0], t)
 
 
 def reference_column_sums(t: PathParameters) -> tuple[int, ...]:

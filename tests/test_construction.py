@@ -35,7 +35,13 @@ from fiet import (
     theta_gamma_p,
 )
 import fiet.construction as construction
-from fiet.construction import PATH_RUNS, base_copy, copy_polynomial, polynomial_at
+from fiet.construction import (
+    PATH_RUNS,
+    REFERENCE_RUNS,
+    base_copy,
+    copy_polynomial,
+    polynomial_at,
+)
 
 ONES = PathParameters(1, 1, 1, 1, 1)
 
@@ -126,7 +132,7 @@ class TestBaseDatum:
 
 
 class TestPathParameters:
-    @pytest.mark.parametrize("bad", [0, -1, Fraction(1, 2), "3"])
+    @pytest.mark.parametrize("bad", [0, -1, Fraction(1, 2), "3", True])
     def test_rejects_non_positive_or_non_integer(self, bad):
         with pytest.raises(ValueError):
             PathParameters(1, 1, bad, 1, 1)
@@ -324,9 +330,88 @@ class TestBaseCopyChecks:
     ], ids=["pi1", "flips", "order-two"])
     def test_end_state_checks(self, monkeypatch, end, match):
         poly = copy_polynomial(base_datum())[1]
-        monkeypatch.setattr(construction, "copy_polynomial", lambda start: (end, poly))
+        monkeypatch.setattr(construction, "copy_polynomial", lambda start, runs: (end, poly))
         with pytest.raises(ConstructionBrokenError, match=match):
             base_copy()
+
+
+def typed_reference(t):
+    """The reference matrix written out entry by entry in (p1, p2, p3)."""
+    p1, p2, p3 = t.p1, t.p2, t.p3
+    return TransitionMatrix((
+        (9, 8 * p3 + 7, p1 + 4, 13, p1 + 5, p2 + 6, p2 + 7, 8),
+        (1, p3 + 1, 0, 2, 0, 0, 0, 1),
+        (9, 9 * p3 + 8, p1 + 3, 14, p1 + 4, 2 * p2 + 6, 2 * p2 + 8, 9),
+        (6, 6 * p3 + 5, 3, 9, 3, p2 + 4, p2 + 5, 6),
+        (0, 0, p1, 0, p1 + 1, 0, 0, 0),
+        (4, 4 * p3 + 3, 1, 6, 1, 3, 3, 4),
+        (0, 0, 0, 0, 0, p2, p2 + 1, 0),
+        (3, 4 * p3 + 3, 1, 5, 1, p2 + 2, p2 + 3, 4),
+    ))
+
+
+def reference_path(t):
+    """gamma_ref with its parameter runs set to t's lengths."""
+    return RauzyPath(tuple((letter, getattr(t, run) if isinstance(run, str) else run)
+                           for letter, run in REFERENCE_RUNS))
+
+
+# Affinely independent (p1, p2, p3): both sides being affine, agreement at
+# these four points is agreement everywhere.
+AFFINE_BASIS = (
+    PathParameters(2, 3, 4, 1, 1),
+    PathParameters(3, 5, 7, 1, 1),
+    PathParameters(10, 20, 40, 1, 1),
+    PathParameters(5, 11, 13, 1, 1),
+)
+
+
+class TestReferenceWord:
+    def test_four_non_negative_terms(self):
+        _, poly = copy_polynomial(base_datum(), REFERENCE_RUNS)
+        assert set(poly) == {(), ("p1",), ("p2",), ("p3",)}
+        assert all(e >= 0 for cols in poly.values() for col in cols for e in col)
+
+    def test_same_end_state_and_sigma_as_the_path(self):
+        end, _ = copy_polynomial(base_datum(), REFERENCE_RUNS)
+        assert end == cycle_states()[1]
+        assert base_copy(REFERENCE_RUNS)[1] == base_copy()[1] == SIGMA
+
+    def test_is_the_typed_table(self):
+        o = AFFINE_BASIS[0]
+        steps = tuple((q.p1 - o.p1, q.p2 - o.p2, q.p3 - o.p3) for q in AFFINE_BASIS[1:])
+        assert TransitionMatrix(steps).det() != 0
+        for t in AFFINE_BASIS:
+            assert reference_theta(t) == typed_reference(t)
+            assert reference_theta(t).column_sums() == reference_column_sums(t)
+            assert reference_theta(t).row_sums() == reference_row_sums(t)
+
+    @settings(max_examples=60, deadline=None)
+    @given(path_parameters_st)
+    def test_evaluates_to_the_threaded_matrix(self, t):
+        end, m = apply_path(base_datum(), reference_path(t))
+        assert end == cycle_states()[1]
+        assert m == reference_theta(t)
+
+
+class TestReferenceComposition:
+    """Three gamma_ref copies thread as R(p1) P R(p2) P R(p3) P; the
+    reference tower multiplies R(p_j) with no P between copies."""
+
+    @pytest.mark.parametrize("schedule", [
+        ParameterSchedule.relaxed(), ParameterSchedule(d=3, p1_1=2),
+    ], ids=["relaxed", "d3"])
+    def test_threaded_block_is_r_p_not_the_reference_block(self, schedule):
+        state, threaded = base_datum(), TransitionMatrix.identity(8)
+        expected = TransitionMatrix.identity(8)
+        for j in (1, 2, 3):
+            t = schedule.params(j)
+            state, m = apply_path(state, reference_path(t))
+            threaded = threaded @ m
+            expected = expected @ reference_theta(t) @ P
+        assert state == base_datum()
+        assert threaded == expected
+        assert threaded != theta_block(schedule, 1, "reference")
 
 
 class TestParameterDependence:
