@@ -196,7 +196,9 @@ def _cmd_path(args) -> int:
         path = build_path(_params_from_string(args.params))
     if args.power < 1:
         raise UsageError("--power must be >= 1")
-    end, matrix = apply_path(comb, path.repeat(args.power))
+    with _bad_input("bad --power"):
+        repeated = path.repeat(args.power)
+    end, matrix = apply_path(comb, repeated)
     payload = {
         "start": serialize.comb_to_dict(comb),
         "combinatorics": serialize.comb_to_dict(end),

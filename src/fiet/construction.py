@@ -8,10 +8,11 @@ applications return exactly to the base state, and blocks of three form a
 closed renormalization scheme.
 
 The path's matrix from the base state is one copy polynomial M0 in p1..p5,
-derived once per process, with sigma, by :func:`base_copy`.  The derivation
-checks that each parameter run starts on a state its letter fixes, so the
-end state does not depend on the parameters and M0 is multilinear, with nine
-terms: 1, p1..p5, p1*p2, p1*p3 and p4*p5.  A step never looks at label
+derived once per process, with sigma, by :func:`base_copy`: the run rule of
+:func:`fiet.induction.thread_runs` threads the word with its parameters as
+symbols.  Each parameter run must start on a state its letter fixes, so the
+end state does not depend on the parameters and M0 is multilinear, with
+nine terms: 1, p1..p5, p1*p2, p1*p3 and p4*p5.  A step never looks at label
 names, so from cycle state k (the base relabelled by sigma^k) the matrix is
 M0 read in that state's labels, P^k M0 P^-k with P e_j = e_sigma(j).  The
 computed copy j is read out in the frame of cycle state j-1, and a block is
@@ -36,7 +37,7 @@ from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 from .core import FietCombinatorics, FietError, exact_int
-from .induction import RauzyPath, TransitionMatrix, apply_path, symbolic_step
+from .induction import RauzyPath, TransitionMatrix, apply_path, thread_runs
 
 N_LABELS = 8
 BASE_PI0 = (1, 2, 3, 4, 5, 6, 7, 8)
@@ -117,34 +118,6 @@ def theta_gamma_p(
     return apply_path(start if start is not None else base_datum(), build_path(t))
 
 
-def copy_polynomial(
-    start: FietCombinatorics, runs: Sequence = PATH_RUNS
-) -> tuple[FietCombinatorics, Mapping]:
-    """The word ``runs`` from ``start``, parameters as symbols: (end state, matrix).
-
-    The matrix maps each monomial (a sorted tuple of parameter names) to its
-    non-zero integer coefficient columns.  A fixed letter is col_l += col_w in
-    every term; a parameter run p is one step col_l += p * col_w.
-    """
-    n = N_LABELS
-    poly = {(): [[int(i == j) for i in range(n)] for j in range(n)]}
-    state = start
-    for letter, run in runs:
-        fixed = isinstance(run, int)
-        for _ in range(run if fixed else 1):
-            out = symbolic_step(state, letter)
-            if not fixed and out.new_comb != state:
-                raise ConstructionBrokenError(f"run {run} starts on a state it moves")
-            w, l = out.winner - 1, out.loser - 1
-            for mono, cols in list(poly.items()):
-                if any(cols[w]):
-                    key = mono if fixed else tuple(sorted(mono + (run,)))
-                    term = poly.setdefault(key, [[0] * n for _ in range(n)])
-                    term[l] = [a + b for a, b in zip(term[l], cols[w])]
-            state = out.new_comb
-    return state, MappingProxyType({m: tuple(map(tuple, c)) for m, c in poly.items()})
-
-
 def polynomial_at(poly: Mapping, t: PathParameters) -> TransitionMatrix:
     """The matrix of a copy polynomial evaluated at the run lengths ``t``."""
     terms = [(math.prod(getattr(t, p) for p in m), cols) for m, cols in poly.items()]
@@ -174,21 +147,26 @@ def base_copy(runs: Sequence = PATH_RUNS) -> tuple[Mapping, tuple[int, ...]]:
     """(M0, sigma): the copy polynomial of ``runs`` at the base state and its
     relabelling.
 
-    sigma, as the images of labels 1..8, is read off the end state:
-    sigma(base.pi0[i]) = end.pi0[i].  A step never looks at label names, so
-    "the end state is the base relabelled by sigma, and sigma^3 = id" is
-    "three copies return to the base state"; a failure raises
-    :class:`ConstructionBrokenError`.
+    M0 is read-only: it maps each monomial (a sorted tuple of parameter
+    names) to its integer coefficient columns.  sigma, as the images of
+    labels 1..8, is read off the end state: sigma(base.pi0[i]) =
+    end.pi0[i].  A step never looks at label names, so "the end state is
+    the base relabelled by sigma, and sigma^3 = id" is "three copies return
+    to the base state"; a failure, or a parameter run that starts on a
+    state its letter moves, raises :class:`ConstructionBrokenError`.
     """
     base = base_datum()
-    end, poly = copy_polynomial(base, runs)
+    try:
+        end, poly = thread_runs(base, runs)
+    except ValueError as exc:
+        raise ConstructionBrokenError(str(exc)) from None
     image = dict(zip(base.pi0, end.pi0))
     sigma = tuple(image[a] for a in range(1, N_LABELS + 1))
     if _relabel(base, sigma) != end:
         raise ConstructionBrokenError("the end state is not a relabelled base state")
     if _power(sigma, COPIES_PER_BLOCK) != _power(sigma, 0):
         raise ConstructionBrokenError("three copies did not return to the base state")
-    return poly, sigma
+    return MappingProxyType({m: tuple(map(tuple, c)) for m, c in poly.items()}), sigma
 
 
 def cycle_states() -> tuple[FietCombinatorics, ...]:

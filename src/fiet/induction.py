@@ -38,6 +38,8 @@ from typing import Sequence
 from .core import Fiet, FietCombinatorics, FietError
 
 LETTERS = ("a", "b")
+# The most runs RauzyPath.repeat builds, beside the 10**6 letters word expands.
+MAX_RUNS = 10**6
 
 
 class KeaneViolation(FietError):
@@ -241,18 +243,20 @@ class RauzyPath:
     def repeat(self, k: int) -> "RauzyPath":
         if k < 0:
             raise ValueError("k must be >= 0")
+        if len(self.runs) * k > MAX_RUNS:
+            raise ValueError(f"{k} repeats of {len(self.runs)} runs exceed {MAX_RUNS} runs")
         return RauzyPath(self.runs * k)
 
 
-def apply_path(
-    c: FietCombinatorics, path: RauzyPath
-) -> tuple[FietCombinatorics, TransitionMatrix]:
-    """Thread a path through the combinatorics; returns (end state, path matrix).
+def thread_runs(c: FietCombinatorics, runs: Sequence) -> tuple[FietCombinatorics, dict]:
+    """Thread (letter, count) runs through the combinatorics: (end state, matrix).
 
-    The matrix is the ordered product of the step matrices, so
-    old lengths = matrix · new lengths across the whole path.  It is kept as
-    one list of integer columns: a step with winner w and loser l is the
-    column operation col_l += col_w (O(n), no matrix product).
+    A count is a positive int or a parameter name.  The matrix is the ordered
+    product of the step matrices, so old lengths = matrix · new lengths, as
+    a polynomial in the parameters: it maps each monomial (a sorted tuple of
+    parameter names) to its integer coefficient columns.  A step with winner
+    w and loser l is the column operation col_l += col_w in every term (O(n),
+    no matrix product).
 
     Every run of one letter is threaded by one rule.  The letter rewrites one
     row only, so the winner, the last label of the other row, is the same at
@@ -264,28 +268,49 @@ def apply_path(
     step raises :class:`KeaneViolation`.  So a run steps through at most one
     period, collecting its losers, then makes one column update per distinct
     loser, with q or q + 1 losses from q, r = divmod(count, period), and ends
-    on the period's r-th state.  Steps are memoized per call, since a long
-    path revisits few (state, letter) pairs.
+    on the period's r-th state.  A parameter run p must start on a state its
+    letter fixes (period one, else ValueError naming the run); its one loser
+    gains p · col_w, so each term's col_w is added to the loser's column of
+    that term times p.  Steps are memoized per call, since a long path
+    revisits few (state, letter) pairs.
     """
     step = cache(symbolic_step)
-    cols = [[int(i == j) for i in range(c.n)] for j in range(c.n)]
-    for letter, count in path.runs:
+    n = c.n
+    poly = {(): [[int(i == j) for i in range(n)] for j in range(n)]}
+    for letter, count in runs:
+        param = isinstance(count, str)
         states, losers = [c], []
-        while len(losers) < count:
+        while len(losers) < (1 if param else count):
             out = step(states[-1], letter)
             losers.append(out.loser)
             if out.new_comb == c:
                 break
             states.append(out.new_comb)
+        if param and len(states) > 1:
+            raise ValueError(f"run {count} starts on a state it moves")
         # Back at c, len(states) is the period; a run that ends before it
         # returns has count < len(states), so q = 0 and r = count.
-        q, r = divmod(count, len(states))
-        col_w = cols[out.winner - 1]
-        for i, loser in enumerate(losers):
-            k = q + (i < r)
-            cols[loser - 1] = [a + k * b for a, b in zip(cols[loser - 1], col_w)]
+        q, r = (1, 0) if param else divmod(count, len(states))
+        w = out.winner - 1
+        for mono, cols in list(poly.items()):
+            if not any(cols[w]):
+                continue
+            term = poly.setdefault(tuple(sorted(mono + (count,))),
+                                   [[0] * n for _ in range(n)]) if param else cols
+            for i, loser in enumerate(losers):
+                k = q + (i < r)
+                term[loser - 1] = [a + k * b for a, b in zip(term[loser - 1], cols[w])]
         c = states[r]
-    return c, TransitionMatrix(tuple(zip(*cols)))
+    return c, poly
+
+
+def apply_path(
+    c: FietCombinatorics, path: RauzyPath
+) -> tuple[FietCombinatorics, TransitionMatrix]:
+    """Thread a path through the combinatorics; returns (end state, path matrix):
+    the constant term of :func:`thread_runs`."""
+    end, poly = thread_runs(c, path.runs)
+    return end, TransitionMatrix(tuple(zip(*poly[()])))
 
 
 def length_driven_letters(f: Fiet, steps: int) -> tuple[str, ...]:

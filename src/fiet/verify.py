@@ -21,7 +21,6 @@ with A_j = M0(p_j) P (see :mod:`fiet.construction`).
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,6 +30,7 @@ from .core import (
     Fiet,
     FietCombinatorics,
     _Tiles,
+    _walk,
     domain_partition,
     exact_int,
     first_return,
@@ -475,9 +475,9 @@ def verify_all(
     """
     towers = lemma_towers(schedule, m, c, b, family)
     separation = check_separation(
-        towers["vectors"]["lambda2"],
-        towers["vectors"]["lambda5"],
-        towers["vectors"]["lambda7"],
+        towers["lambda2"].vectors[1],
+        towers["lambda5"].vectors[1],
+        towers["lambda7"].vectors[1],
         schedule.params(1),
     )
     # Every verdict is decided on integers first, and only a level with a
@@ -575,7 +575,7 @@ def birkhoff_frequencies(
     At rational lengths every orbit is eventually periodic, and it spends
     most of its steps in translation runs, where its last p steps repeat
     as one translation T^p(y) = y + delta.  The walk crosses each run in
-    closed form (see :func:`_walk`): the run's points are arithmetic
+    closed form (see :func:`fiet.core._walk`): the run's points are arithmetic
     progressions, monotone, so each is kept inside its tile, and off a
     flipped tile's left end, by its last term; a periodic orbit (delta =
     0) jumps straight to its horizon.  Counts and ``max_gap`` stay exact,
@@ -598,13 +598,13 @@ def birkhoff_frequencies(
             raise ValueError(f"start {start} outside [0, {f.total_length})")
         s = max(L.bit_length() - GAP_CELLS_LOG2, 0)
         rows = _walk(kernel, x, horizons, s)
-        while coarse := [(done, gap) for done, _, gap in rows if gap < 1 << s]:
+        while coarse := [(done, gap) for done, _, gap, _ in rows if gap < 1 << s]:
             s = min(
                 max(gap, L // (max(done, 1) + 1)).bit_length() - 1
                 for done, gap in coarse
             )
             rows = _walk(kernel, x, horizons, s)
-        for h, (done, cts, gap) in zip(horizons, rows):
+        for h, (done, cts, gap, _) in zip(horizons, rows):
             freqs = tuple(
                 Fraction(ct, done) if done else Fraction(0) for ct in cts
             )
@@ -617,143 +617,6 @@ def birkhoff_frequencies(
                 max_gap=Fraction(gap, kernel.scale),
             ))
     return FrequencyReport(starts, horizons, tuple(results))
-
-
-def _walk(
-    kernel: _Tiles, x: int, horizons: tuple[int, ...], s: int
-) -> list[tuple[int, tuple[int, ...], int]]:
-    """Walk one orbit from x to its last horizon on cells of width ``2**s``.
-
-    One ``(steps done, visit counts, largest gap)`` per horizon, where the
-    largest gap is taken between the per-cell extremes of the visited points
-    (the exact ``max_gap`` when it is at least ``2**s``).
-
-    Translation runs are crossed in closed form, so the cost grows with
-    the number of runs, not the number of steps.  Each tile keeps the steps
-    and points of the last two visits the loop stepped through.  When the
-    visit at step t repeats them, p steps after the last one, y_0, with the
-    same displacement delta = x - y_0, :func:`_jump` walks the p steps from
-    y_0 again for each step's point y_i, its tile and e_i, the orientation
-    of T^i near y_0.  Since T is c + x or c - x on each tile, T^i(y_0 + z)
-    = y_i + e_i*z as long as each T^j(y_0 + z), j < i, lies in the tile of
-    y_j, and for a flipped tile right of its left end, where T is
-    undefined.  If T^p preserves orientation there, it is y -> y + delta,
-    so the orbit point at step t + (m - 1)*p + i is y_i + e_i*m*delta for m
-    = 1..K, where K is the largest number of windows whose points all meet
-    that condition.  Each progression y_i + e_i*m*delta is monotone in m,
-    so its last term decides: K is the least of p floor divisions, capped
-    so that the horizon is not crossed.  When delta = 0 the orbit is
-    periodic whatever the orientation, and K runs to the horizon.  The jump
-    adds K to the count of each window label, writes each progression into
-    the per-cell extremes one non-empty cell at a time, in closed form (so
-    term by term when its terms lie a cell or more apart), and moves t by
-    K*p and x by K*delta.  Each jump certifies a translation cylinder of
-    the map: an interval on which T^p is the translation by delta.
-    """
-    tiles, cuts, L = kernel.tiles, kernel.cuts, kernel.L
-    lo = [L] * (((L - 1) >> s) + 1)
-    hi = [-1] * len(lo)
-    counts = [0] * len(tiles)
-    # Per tile: steps and points of the last visit and of the one before.
-    # A jump uses only the last, a true orbit point, so the placeholders
-    # of a tile not yet visited twice decide only when one is tried.
-    t1 = [-1] * len(tiles)
-    t2 = t1[:]
-    x1 = [0] * len(tiles)
-    x2 = x1[:]
-    rows = []
-    t = 0
-    for h in horizons:
-        # A terminated orbit stays at its terminal point, so every later
-        # horizon breaks at once on the same step.
-        while t < h:
-            # _Tiles.step inlined: the call cost 10-15% of this loop's time.
-            i = bisect_right(cuts, x) - 1
-            label, u, _, c, flipped = tiles[i]
-            if flipped and x == u:
-                break
-            p = t - t1[i]
-            if p == t1[i] - t2[i] and x - x1[i] == x1[i] - x2[i]:
-                k = _jump(tiles, cuts, x1[i], x, p, h - t, counts, lo, hi, s)
-                if k:
-                    t += k * p
-                    x += k * (x - x1[i])
-                    continue
-            t2[i], t1[i] = t1[i], t
-            x2[i], x1[i] = x1[i], x
-            counts[label - 1] += 1
-            cell = x >> s
-            if x < lo[cell]:
-                lo[cell] = x
-            if x > hi[cell]:
-                hi[cell] = x
-            x = c - x if flipped else c + x
-            t += 1
-        if t == 0:
-            lo[x >> s] = hi[x >> s] = x
-        gap = prev = 0
-        for a, b in zip(lo, hi):
-            if b >= 0:
-                gap = max(gap, a - prev)
-                prev = b
-        rows.append((t, tuple(counts), max(gap, L - prev)))
-    return rows
-
-
-def _jump(tiles, cuts, y, x, p, left, counts, lo, hi, s) -> int:
-    """Cross the windows of a translation run; the number K crossed.
-
-    ``y`` is the orbit's point p steps before ``x`` and ``left`` the number
-    of steps before the horizon.  Returns 0, and changes nothing, unless
-    at least one whole window fits (see :func:`_walk`).  The window is
-    walked twice, to find K and then to write it, so that no orbit
-    stretch is held in memory.
-    """
-    k = left // p
-    if not k:
-        return 0
-    delta = x - y
-    flips = 0
-    for _, u, lam, flipped, z, d in _window(tiles, cuts, y, delta, p):
-        if d > 0:
-            k = min(k, (u + lam - 1 - z) // d)
-        elif d < 0:
-            k = min(k, (z - u - flipped) // -d)
-        flips += flipped
-    if (flips & 1 and delta) or not k:
-        return 0
-    for label, _, _, _, z, d in _window(tiles, cuts, y, delta, p):
-        counts[label - 1] += k
-        if not d:
-            continue
-        # The K terms z + m*d, m = 1..K, from the smallest v to the largest
-        # b, one non-empty cell at a time: w is the cell's last term.
-        step = abs(d)
-        v = min(z + d, z + k * d)
-        b = v + (k - 1) * step
-        while v <= b:
-            cell = v >> s
-            w = min(b, v + ((((cell + 1) << s) - 1 - v) // step) * step)
-            if v < lo[cell]:
-                lo[cell] = v
-            if w > hi[cell]:
-                hi[cell] = w
-            v = w + step
-    return k
-
-
-def _window(tiles, cuts, y, delta, p):
-    """The p steps of the orbit from y: for each, its tile's label, left
-    end, length and flip, its point, and its progression step e*delta,
-    where e is the orientation of the steps before it."""
-    e = 1
-    for _ in range(p):
-        label, u, lam, c, flipped = tiles[bisect_right(cuts, y) - 1]
-        yield label, u, lam, flipped, y, e * delta
-        if flipped:
-            y, e = c - y, -e
-        else:
-            y = c + y
 
 
 def frequency_l1_gaps(report: FrequencyReport, horizon: int) -> dict:

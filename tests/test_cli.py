@@ -1,13 +1,16 @@
 """End-to-end tests of the command-line interface via ``main(argv)``."""
 
 import hashlib
+import importlib
 import io
 import json
 import os
 import resource
+import runpy
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -557,6 +560,8 @@ class TestInputErrors:
         (["verify", "--config", "FILE"], {"mode": "relaxed", "d": 128}),
         (["construct", "--config", "FILE"], {"d": 128}),
         (["simulate", "--config", "FILE"], {"p1_1": 5}),
+        (["path", "--params", "1,1,1,1,1", "--power", "100000000"], None),
+        (["path", "--word", "ab", "--power", "1000000000"], None),
     ], ids=[
         "construct-d-1", "verify-d-1", "simulate-d-1", "construct-p1-0",
         "config-list", "config-string", "config-number", "verify-c-10",
@@ -566,6 +571,7 @@ class TestInputErrors:
         "config-mislabelled-strict", "config-unknown-mode", "config-unknown-key",
         "config-bool-p1", "step-bool-label-and-flip", "step-float-length",
         "config-mode-and-d", "config-d-only", "config-p1-only",
+        "path-params-huge-power", "path-word-huge-power",
     ])
     def test_bad_input_exits_two(self, capsys, tmp_path, argv, data):
         if data is not None:
@@ -753,3 +759,13 @@ class TestParser:
             main(["verify", "--mode", "loose"])
         assert exc_info.value.code == 2
         capsys.readouterr()
+
+
+class TestBenchmarkHooks:
+    def test_traced_functions_resolve(self):
+        # The traced benchmark run wraps these functions by module and name.
+        trace_child = Path(__file__).parents[1] / "perfbench" / "trace_child.py"
+        hooks = runpy.run_path(str(trace_child), run_name="trace_child")
+        for module, name, _ in hooks["TRACED_FUNCTIONS"]:
+            assert callable(getattr(importlib.import_module(module), name, None)), \
+                f"{module}.{name}"

@@ -39,9 +39,9 @@ from fiet.construction import (
     PATH_RUNS,
     REFERENCE_RUNS,
     base_copy,
-    copy_polynomial,
     polynomial_at,
 )
+from fiet.induction import thread_runs
 
 ONES = PathParameters(1, 1, 1, 1, 1)
 
@@ -242,22 +242,35 @@ class TestCopyPolynomial:
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from((0, 1, 2)), path_parameters_st)
     def test_evaluates_to_the_threaded_matrix(self, k, t):
+        # The product of the step matrices, letter by letter; a parameter
+        # run p repeats one step on a state its letter fixes, so its
+        # product is that step's matrix to the power p.
         states = cycle_states()
-        end, poly = copy_polynomial(states[k])
-        assert end == states[(k + 1) % 3]
-        assert (end, polynomial_at(poly, t)) == theta_gamma_p(t, states[k])
+        end, poly = thread_runs(states[k], PATH_RUNS)
+        state, expected = states[k], TransitionMatrix.identity(8)
+        for letter, run in PATH_RUNS:
+            for _ in range(run if isinstance(run, int) else 1):
+                out = symbolic_step(state, letter)
+                m = out.matrix
+                expected @= m if isinstance(run, int) else m.power(getattr(t, run))
+                state = out.new_comb
+        assert end == state == states[(k + 1) % 3]
+        assert polynomial_at(poly, t) == expected
 
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_nine_terms(self, k):
-        _, poly = copy_polynomial(cycle_states()[k])
+        _, poly = thread_runs(cycle_states()[k], PATH_RUNS)
         assert set(poly) == NINE_TERMS
 
     def test_run_on_a_state_its_letter_moves_raises(self):
         start = base_datum().swapped()
         state, _ = apply_path(start, RauzyPath(PATH_RUNS[:6]))
         assert symbolic_step(state, "a").new_comb != state
+        with pytest.raises(ValueError, match="p1"):
+            thread_runs(start, PATH_RUNS)
+        assert symbolic_step(base_datum(), "a").new_comb != base_datum()
         with pytest.raises(ConstructionBrokenError, match="p1"):
-            copy_polynomial(start)
+            base_copy((("a", "p1"),))
 
 
 def sigma_power(k):
@@ -301,7 +314,7 @@ class TestRelabelling:
         assert theta_copy(schedule, j) == expected
         # The same matrix threaded symbolically from cycle state k.
         start = cycle_states()[k]
-        assert polynomial_at(copy_polynomial(start)[1], t) == expected
+        assert polynomial_at(thread_runs(start, PATH_RUNS)[1], t) == expected
 
     @pytest.mark.parametrize("schedule", NAMED, ids=lambda s: s.mode)
     @pytest.mark.parametrize("i", [1, 2])
@@ -329,8 +342,8 @@ class TestBaseCopyChecks:
         (relabelled(base_datum(), (1, 3, 2, 4, 5, 6, 7, 8)), "three copies"),
     ], ids=["pi1", "flips", "order-two"])
     def test_end_state_checks(self, monkeypatch, end, match):
-        poly = copy_polynomial(base_datum())[1]
-        monkeypatch.setattr(construction, "copy_polynomial", lambda start, runs: (end, poly))
+        poly = thread_runs(base_datum(), PATH_RUNS)[1]
+        monkeypatch.setattr(construction, "thread_runs", lambda start, runs: (end, poly))
         with pytest.raises(ConstructionBrokenError, match=match):
             base_copy()
 
@@ -368,12 +381,12 @@ AFFINE_BASIS = (
 
 class TestReferenceWord:
     def test_four_non_negative_terms(self):
-        _, poly = copy_polynomial(base_datum(), REFERENCE_RUNS)
+        _, poly = thread_runs(base_datum(), REFERENCE_RUNS)
         assert set(poly) == {(), ("p1",), ("p2",), ("p3",)}
         assert all(e >= 0 for cols in poly.values() for col in cols for e in col)
 
     def test_same_end_state_and_sigma_as_the_path(self):
-        end, _ = copy_polynomial(base_datum(), REFERENCE_RUNS)
+        end, _ = thread_runs(base_datum(), REFERENCE_RUNS)
         assert end == cycle_states()[1]
         assert base_copy(REFERENCE_RUNS)[1] == base_copy()[1] == SIGMA
 

@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import combinatorics_st, fiets_st, steppable_fiets_st
-from fiet import verify
+from fiet import core
 from fiet.core import _Tiles
 from fiet import (
     DomainError,
@@ -197,8 +197,8 @@ def reference_max_gap(f, xs, done):
 
 
 def check_birkhoff(f, start, horizons):
-    """Every row of birkhoff_frequencies from one start against the
-    reference orbit; returns the report."""
+    """Every row of birkhoff_frequencies from one start, and iterate to each
+    row's horizon, against the reference orbit; returns the report."""
     xs, labels = reference_orbit(f, start, max(horizons))
     rep = birkhoff_frequencies(f, (start,), horizons)
     for r in rep.results:
@@ -210,6 +210,14 @@ def check_birkhoff(f, start, horizons):
             F(c, done) if done else F(0) for c in counts
         )
         assert r.max_gap == reference_max_gap(f, xs, done)
+        if done == r.horizon:
+            pt = iterate(f, start, r.horizon)
+            assert (pt.position, pt.visit_counts) == (xs[done], counts)
+        else:
+            with pytest.raises(OrbitTerminated) as exc:
+                iterate(f, start, r.horizon)
+            assert exc.value.step == done
+            assert (exc.value.position, exc.value.visit_counts) == (xs[done], counts)
     return rep
 
 
@@ -317,7 +325,7 @@ def small_fiet_and_start_st(draw):
 def jumps(monkeypatch):
     """(p, steps left, windows crossed, displacement) of each jump taken."""
     taken = []
-    jump = verify._jump
+    jump = core._jump
 
     def record(tiles, cuts, y, x, p, left, *rest):
         k = jump(tiles, cuts, y, x, p, left, *rest)
@@ -325,7 +333,7 @@ def jumps(monkeypatch):
             taken.append((p, left, k, x - y))
         return k
 
-    monkeypatch.setattr(verify, "_jump", record)
+    monkeypatch.setattr(core, "_jump", record)
     return taken
 
 
@@ -355,11 +363,14 @@ class TestJumpAhead:
 
     def test_termination_right_after_a_run(self, jumps):
         # 29 -> 28 -> ... -> 0, the left end of the flipped tile: the run
-        # jumped at step 7 ends on the terminal point at step 29.
+        # jumped at step 7 ends on the terminal point at step 29.  iterate
+        # walks to one horizon at a time: to 100, its jump at step 2 stops
+        # on that point too.
         f = swap(fs(1), (F(1), F(30)))
         rep = check_birkhoff(f, F(29), (5, 29, 30, 100))
         assert [r.terminated_at for r in rep.results] == [None, None, 29, 29]
-        assert jumps[-1] == (1, 22, 22, -2)
+        assert jumps[1] == (1, 22, 22, -2)
+        assert jumps[-1] == (1, 98, 27, -2)
 
     def test_run_ending_on_a_flipped_left_end(self):
         # Every tile is flipped, so two steps make a translation: tile 3
@@ -392,11 +403,12 @@ class TestJumpAhead:
         f, start = fx
         horizons = tuple(sorted(set(horizons)))
         kernel = _Tiles(f, (start,))
-        rows = verify._walk(kernel, int(start * kernel.scale), horizons, s)
+        rows = core._walk(kernel, int(start * kernel.scale), horizons, s)
         xs, labels = reference_orbit(f, start, horizons[-1])
-        for h, (done, counts, gap) in zip(horizons, rows):
+        for h, (done, counts, gap, x) in zip(horizons, rows):
             assert done == min(h, len(labels))
             assert counts == label_counts(f, labels[:done])
+            assert x == xs[done] * kernel.scale
             cells = {}
             for v in xs[: max(done, 1)]:
                 v = int(v * kernel.scale)
