@@ -294,8 +294,11 @@ def _cmd_simulate(args) -> int:
         horizons = tuple(int(h) for h in args.horizons.split(","))
     # birkhoff_frequencies is where a start outside the interval or a
     # non-positive horizon is rejected, so the orbit walk is inside the boundary.
-    with _bad_input("bad --starts or --horizons"):
-        report = birkhoff_frequencies(f, starts, horizons)
+    try:
+        with _bad_input("bad --starts or --horizons"):
+            report = birkhoff_frequencies(f, starts, horizons)
+    except ResourceLimitError as exc:  # a horizon whose max_gap grid is too large
+        raise UsageError(f"resource limit: {exc}") from exc
     text = serialize.frequency_report_csv(report, args.precision)
     with _output(args.out) as fh:
         fh.write(text)

@@ -13,8 +13,8 @@ import json
 import re
 import sys
 from fractions import Fraction
-from itertools import islice
-from typing import Callable, Optional, Sequence, TextIO
+from json.encoder import encode_basestring_ascii
+from typing import Callable, Iterator, Optional, Sequence, TextIO
 
 from .core import Fiet, FietCombinatorics, exact_int
 from .construction import NAMED_SCHEDULES, LimitReport, ParameterSchedule
@@ -207,21 +207,81 @@ def limit_report_to_dict(rep: LimitReport, precision: int = 12) -> dict:
     }
 
 
+def _cached_format_fraction() -> Callable[[Fraction], str]:
+    """:func:`format_fraction` converting each distinct integer once.
+
+    A record list repeats its integers (a level's total is the denominator
+    of most of its values), so one of these serves one list.
+    """
+    digits: dict[int, str] = {}
+
+    def fraction(q: Fraction) -> str:
+        for n in (q.numerator, q.denominator):
+            if n not in digits:
+                digits[n] = int_to_str(n)
+        return f"{digits[q.numerator]}/{digits[q.denominator]}"
+
+    return fraction
+
+
+def _record_dicts(recs: Sequence[InequalityRecord]) -> list[dict]:
+    fraction = _cached_format_fraction()
+    return [record_to_dict(r, fraction) for r in recs]
+
+
+def records_json(recs: Sequence[InequalityRecord], depth: int) -> Iterator[str]:
+    """JSON text of a record list that sits ``depth`` containers deep.
+
+    The text comes in pieces, one per record, and joined it is what
+    ``JSONEncoder(indent=2, sort_keys=True)`` writes there for the
+    :func:`record_to_dict` dicts.  It is built without the encoder: the
+    "num/den" values are digits and need no escaping, only ``item`` and
+    ``lemma`` do, and each distinct integer is converted to decimal once.
+    """
+    if not recs:
+        yield "[]"
+        return
+    fraction = _cached_format_fraction()
+    record = "\n" + "  " * (depth + 1)
+    field = ",\n" + "  " * (depth + 2)
+    opening = "["
+    for r in recs:
+        # The keys of record_to_dict, in sorted order.
+        yield opening + record + "{" + field[1:] + field.join((
+            f'"holds": {"true" if r.holds else "false"}',
+            f'"item": {encode_basestring_ascii(r.item)}',
+            f'"lemma": {encode_basestring_ascii(r.lemma_id)}',
+            f'"lhs": "{fraction(r.lhs)}"',
+            f'"margin": "{fraction(r.margin)}"',
+            f'"rhs": "{fraction(r.rhs)}"',
+            f'"strict": {"true" if r.strict else "false"}',
+        )) + record + "}"
+        opening = ","
+    yield "\n" + "  " * depth + "]"
+
+
 class Deferred:
-    """A JSON value built only when it is written: :func:`dump_json` (or any
-    encoder given :func:`json_default`) calls ``build`` when it reaches the
-    value and encodes what it returns, which is then dropped."""
+    """A record list built only when it is written.
 
-    __slots__ = ("build",)
+    ``records`` builds the list, which sits ``depth`` containers deep in
+    its document.  :func:`dump_json` writes it as :func:`records_json` text
+    when its encoder reaches it; any other encoder given
+    :func:`json_default` gets the :func:`record_to_dict` dicts.  Either way
+    what is built is dropped once written.
+    """
 
-    def __init__(self, build: Callable[[], object]) -> None:
-        self.build = build
+    __slots__ = ("records", "depth")
+
+    def __init__(self, records: Callable[[], Sequence[InequalityRecord]],
+                 depth: int) -> None:
+        self.records = records
+        self.depth = depth
 
 
 def json_default(o):
     """The ``default`` hook that renders a :class:`Deferred` value."""
     if isinstance(o, Deferred):
-        return o.build()
+        return _record_dicts(o.records())
     raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
@@ -229,25 +289,14 @@ def verify_report_to_dict(report: dict, precision: int = 12) -> dict:
     """JSON-ready form of the dict produced by verify.verify_all.
 
     Each tower level's record list is :class:`Deferred`: the level's
-    records, their dicts and their digits are built when the writer
-    reaches that level, so a written report holds one level at a time.
-    A record list repeats its integers (a level's total is the denominator
-    of most of its values), so each distinct integer of one list is
-    converted to decimal once.
+    records and their text are built when the writer reaches that level,
+    so a written report holds one level at a time.  The separation list,
+    whose values are the largest in the report, is deferred too, so that
+    its text is written one record at a time.
     """
-    def records(recs) -> list[dict]:
-        digits: dict[int, str] = {}
-
-        def fraction(q: Fraction) -> str:
-            for n in (q.numerator, q.denominator):
-                if n not in digits:
-                    digits[n] = int_to_str(n)
-            return f"{digits[q.numerator]}/{digits[q.denominator]}"
-
-        return [record_to_dict(r, fraction) for r in recs]
-
     def level_records(tower, level) -> Deferred:
-        return Deferred(lambda: records(tower[level]))
+        # A level's list sits in the report, its towers and its tower.
+        return Deferred(lambda: tower[level], 3)
 
     towers = {}
     for key in ("lambda7", "lambda5", "lambda2"):
@@ -265,9 +314,9 @@ def verify_report_to_dict(report: dict, precision: int = 12) -> dict:
         "checked_levels": list(report["checked_levels"]),
         "towers": towers,
         "level1_vectors": vectors,
-        "separation": records(report["separation"]),
+        "separation": Deferred(lambda: report["separation"], 1),
         "records_total": report["records_total"],
-        "records_failing": records(report["records_failing"]),
+        "records_failing": _record_dicts(report["records_failing"]),
         "passed": report["passed"],
     }
     if "matrix_fidelity" in report:
@@ -347,6 +396,7 @@ def frequency_report_csv(report: FrequencyReport, precision: int = 12) -> str:
 # of kilobytes of a report of megabytes.
 _CHUNKS_PER_WRITE = 256
 _PLACEHOLDER = re.compile(r'"\\u0000(\d+)"')
+_HOLE = '"\\u0000'  # how the encoder quotes a placeholder's start
 
 
 def dump_json(obj, stream: Optional[TextIO] = None) -> Optional[str]:
@@ -354,50 +404,72 @@ def dump_json(obj, stream: Optional[TextIO] = None) -> Optional[str]:
 
     Given a text ``stream``, the document is written to it in batches of
     encoder chunks and nothing is returned, so no copy of the whole text is
-    ever held.  Without one, the same text is returned.  A
-    :class:`Deferred` value is built when the encoder reaches it.
+    ever held.  Without one, the same text is returned.
 
-    Integers past the interpreter's digit limit, which the encoder refuses,
-    are still written as JSON numbers: each is swapped for a placeholder
-    string (a NUL and an index, which no payload string starts with), and in
-    each batch the placeholder's quoted form is replaced by the
-    :func:`int_to_str` digits.  A deferred value is swapped the same way
-    once built.  The encoder yields every string within one chunk, so a
-    placeholder never spans two batches.
+    Some values are written as text the encoder does not make: integers
+    past the interpreter's digit limit, which it refuses, as JSON numbers
+    of :func:`int_to_str` digits, and each :class:`Deferred` record list,
+    built when the encoder reaches it, as :func:`records_json` text.  Each
+    is swapped for a placeholder string (a NUL and an index, which no
+    payload string starts with) and its text for the pieces it is written
+    in.  In each batch the text goes where the placeholder's quoted form
+    is, and is dropped.  The encoder yields every string within one chunk,
+    so a placeholder never spans two batches, and a chunk with a
+    placeholder ends its batch.  So one record list is held at a time, and
+    of its text one record's.
     """
     out = io.StringIO() if stream is None else stream
-    digits: list[str] = []
+    texts: list = []  # per placeholder, the pieces of its text
     limit = _max_str_digits()
-    if limit:
-        payload = _swap_big_ints(obj, 3 * limit, digits)
+    payload = _swap_big_ints(obj, 3 * limit, texts) if limit else obj
 
-        def default(o):
-            return _swap_big_ints(json_default(o), 3 * limit, digits)
-    else:
-        payload, default = obj, json_default
+    def default(o):
+        if not isinstance(o, Deferred):
+            return json_default(o)
+        texts.append(records_json(o.records(), o.depth))
+        return f"\x00{len(texts) - 1}"
+
     encoder = json.JSONEncoder(indent=2, sort_keys=True, default=default)
-    chunks = encoder.iterencode(payload)
-    while text := "".join(islice(chunks, _CHUNKS_PER_WRITE)):
-        if digits:
-            text = _PLACEHOLDER.sub(lambda m: digits[int(m[1])], text)
-        out.write(text)
-        del text  # before the encoder builds the next batch
+    for batch in _batches(encoder.iterencode(payload)):
+        text = "".join(batch)
+        batch.clear()  # the chunks are held once, as the text
+        # Odd pieces are the indices of placeholders.
+        for k, piece in enumerate(_PLACEHOLDER.split(text)):
+            if k % 2 == 0:
+                out.write(piece)
+            else:
+                out.writelines(texts[int(piece)])
+                texts[int(piece)] = None
+        del text, piece  # before the encoder builds the next batch
     out.write("\n")
     return out.getvalue() if stream is None else None
 
 
-def _swap_big_ints(o, max_bits: int, digits: list[str]):
+def _batches(chunks: Iterator[str]) -> Iterator[list[str]]:
+    """Chunks in batches of ``_CHUNKS_PER_WRITE``, each cut short after a
+    chunk that holds a placeholder.  Every batch is the same list, which
+    the caller empties before taking the next."""
+    batch: list[str] = []
+    for chunk in chunks:
+        batch.append(chunk)
+        if len(batch) == _CHUNKS_PER_WRITE or _HOLE in chunk:
+            yield batch
+    yield batch
+
+
+def _swap_big_ints(o, max_bits: int, texts: list):
     """``o`` with each integer over ``max_bits`` bits swapped for a placeholder.
 
-    The integer's digits are appended to ``digits``, whose index the
-    placeholder carries.  A container holding no such integer is returned
-    itself, not copied, so a payload without one comes back unchanged.
+    The integer's digits are appended to ``texts``, as a text in one piece,
+    and the placeholder carries their index.  A container holding no such
+    integer is returned itself, not copied, so a payload without one comes
+    back unchanged.
     """
     if type(o) is int:
         if o.bit_length() <= max_bits:
             return o
-        digits.append(int_to_str(o))
-        return f"\x00{len(digits) - 1}"
+        texts.append((int_to_str(o),))
+        return f"\x00{len(texts) - 1}"
     if isinstance(o, dict):
         items = o.items()
     elif isinstance(o, (list, tuple)):
@@ -406,7 +478,7 @@ def _swap_big_ints(o, max_bits: int, digits: list[str]):
         return o
     copy = None
     for key, value in items:
-        swapped = _swap_big_ints(value, max_bits, digits)
+        swapped = _swap_big_ints(value, max_bits, texts)
         if swapped is not value:
             if copy is None:
                 copy = dict(o) if isinstance(o, dict) else list(o)

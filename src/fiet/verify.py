@@ -41,6 +41,7 @@ from .construction import (
     N_LABELS,
     ParameterSchedule,
     PathParameters,
+    ResourceLimitError,
     integer_coordinates,
     l1_cross,
     l1_distance,
@@ -52,6 +53,7 @@ from .construction import (
 
 BURN_IN_LEVELS = 2  # levels J-1, J are finite-seed start-up artifacts
 GAP_CELLS_LOG2 = 12  # birkhoff_frequencies' max_gap grid starts with ~4096 cells
+MAX_GAP_CELLS = 1 << 20  # a finer one past ~1M cells: ~0.5 GiB at 1734-bit L
 
 
 @dataclass(frozen=True)
@@ -80,7 +82,10 @@ class _Records:
     ``holds`` is the sign of the cross-multiplied difference, an integer.
     With ``build`` false a call returns only that verdict and builds no
     Fraction; otherwise it returns the record, whose lhs, rhs and margin are
-    built as Fractions only once per distinct value.
+    built as Fractions only once per distinct value.  A margin against a
+    constant is lhs - rhs, whose gcds (Knuth, TAOCP 2, 4.5.1) run on the
+    constant's small denominator, not on level-sized numbers; over one
+    denominator Fraction(num, den) takes one big gcd, subtraction two.
     """
 
     def __init__(self, den: int, build: bool = True) -> None:
@@ -109,17 +114,14 @@ class _Records:
     def __call__(self, lemma_id: str, item: str, lhs, rhs, strict: bool = True):
         ln, ld = self._side(lhs)
         rn, rd = self._side(rhs)
-        if ld == rd:
-            num, den = ln - rn, ld
-        else:
-            num, den = ln * rd - rn * ld, ld * rd
+        same = ld == rd
+        num = ln - rn if same else ln * rd - rn * ld
         holds = num > 0 if strict else num >= 0
         if not self.build:
             return holds
-        return InequalityRecord(
-            lemma_id, item, self._value(lhs, ln, ld), self._value(rhs, rn, rd),
-            self._fraction(num, den), holds, strict,
-        )
+        lq, rq = self._value(lhs, ln, ld), self._value(rhs, rn, rd)
+        margin = self._fraction(num, ld) if same else lq - rq
+        return InequalityRecord(lemma_id, item, lq, rq, margin, holds, strict)
 
 
 def _projective(x: Sequence) -> tuple[tuple[int, ...], int]:
@@ -429,7 +431,7 @@ def check_separation(
     b75 = (one - Fraction(1, p1)) + Fraction(1, 7)
     b57 = Fraction(9, 10) + Fraction(1, 4)
     b2x = (one - Fraction(1, p1)) + Fraction(1, 34)
-    records = [
+    return [
         r57("SEP", "(1 - x7(l5)) + x7(l7) > 1", s75, one),
         r57("SEP", "(1 - x5(l7)) + x5(l5) > 1", s57, one),
         r27("SEP", "(1 - x2(l7)) + x2(l2) > 1", s27, one),
@@ -447,7 +449,6 @@ def check_separation(
         r25("SEP", "L1(l2, l5) > 1/34 - 1/p1",
             d25, Fraction(1, 34) - Fraction(1, p1)),
     ]
-    return records
 
 
 def verify_all(
@@ -570,7 +571,8 @@ def birkhoff_frequencies(
     [0, L) into p + 1 gaps summing to L, so by pigeonhole ``max_gap >=
     L // (p + 1)``, and ``max_gap`` is at least the coarse largest gap too.
     The finer width is the largest power of two not above either bound, so
-    the second walk is exact; its grid has at most about 2 (p + 1) cells.
+    the second walk is exact; its grid has at most about 2 (p + 1) cells,
+    and one over ``MAX_GAP_CELLS`` raises :class:`ResourceLimitError`.
 
     At rational lengths every orbit is eventually periodic, and it spends
     most of its steps in translation runs, where its last p steps repeat
@@ -603,6 +605,9 @@ def birkhoff_frequencies(
                 max(gap, L // (max(done, 1) + 1)).bit_length() - 1
                 for done, gap in coarse
             )
+            if (cells := ((L - 1) >> s) + 1) > MAX_GAP_CELLS:
+                raise ResourceLimitError(f"max_gap from start {float(start):.9f} needs "
+                                         f"{cells} grid cells (limit {MAX_GAP_CELLS})")
             rows = _walk(kernel, x, horizons, s)
         for h, (done, cts, gap, _) in zip(horizons, rows):
             freqs = tuple(
@@ -654,17 +659,9 @@ def oracle_crosscheck(trials: int, seed: int = 0) -> dict:
             failures.append({"trial": trial, "fiet": f, "error": repr(exc)})
             continue
         if stepped != returned:
-            failures.append({
-                "trial": trial,
-                "fiet": f,
-                "stepped": stepped,
-                "returned": returned,
-            })
-    return {
-        "trials": trials,
-        "passes": trials - len(failures),
-        "failures": failures,
-    }
+            failures.append({"trial": trial, "fiet": f,
+                             "stepped": stepped, "returned": returned})
+    return {"trials": trials, "passes": trials - len(failures), "failures": failures}
 
 
 def _random_fiet(rng: random.Random) -> Fiet:

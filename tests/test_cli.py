@@ -27,7 +27,7 @@ from fiet import (
     limit_vectors,
     rauzy_step,
 )
-from fiet import serialize
+from fiet import serialize, verify
 from fiet.cli import main
 from fiet.serialize import (
     FREQUENCY_CSV_HEADER,
@@ -425,6 +425,14 @@ class TestSimulate:
     def test_byte_reproducible(self, capsys):
         args = ["simulate", *self.SMALL_ARGS, "--horizons", "2"]
         assert run(capsys, args) == run(capsys, args)
+
+    def test_max_gap_grid_over_the_limit_exits_2(self, capsys, monkeypatch):
+        # Some midpoint orbit of 20000 steps needs a finer max_gap walk.
+        monkeypatch.setattr(verify, "MAX_GAP_CELLS", 1)
+        code, out, err = run(
+            capsys, ["simulate", *self.SMALL_ARGS, "--horizons", "20000"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: resource limit: ") and "grid cells" in err
 
     def test_alpha_pipeline_from_construct(self, capsys, tmp_path):
         alpha_file = tmp_path / "c.json"

@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import combinatorics_st, fiets_st, steppable_fiets_st
-from fiet import core
+from fiet import core, verify
 from fiet.core import _Tiles
 from fiet import (
     DomainError,
@@ -19,6 +19,7 @@ from fiet import (
     OracleInapplicable,
     OrbitTerminated,
     ParameterSchedule,
+    ResourceLimitError,
     base_datum,
     birkhoff_frequencies,
     domain_partition,
@@ -42,6 +43,12 @@ def fs(*labels):
 FLIPPY = Fiet(
     FietCombinatorics(3, (1, 2, 3), (2, 3, 1), fs(1, 3)),
     (F(1), F(5), F(4)),
+)
+
+# A rotation whose orbit from 0 is dense: see the max_gap tests below.
+DENSE_ROTATION = Fiet(
+    FietCombinatorics(2, (1, 2), (2, 1), fs()),
+    (F(1), F(1618033, 1000000)),
 )
 
 
@@ -268,16 +275,25 @@ class TestKernelAgainstReference:
         # Gaps finer than the starting grid's cells force a second, finer
         # walk.  At 15359 and 18553 points the longest gap is unique and lies
         # inside one cell of the starting grid, so only that walk finds it.
-        f = Fiet(
-            FietCombinatorics(2, (1, 2), (2, 1), frozenset()),
-            (F(1), F(1618033, 1000000)),
-        )
+        f = DENSE_ROTATION
         horizons = (1000, 15359, 18553, 20000)
         xs, _ = reference_orbit(f, F(0), max(horizons))
         rep = birkhoff_frequencies(f, (F(0),), horizons)
         for r in rep.results:
             assert r.max_gap == reference_max_gap(f, xs, r.horizon)
         assert rep.results[-1].max_gap < f.total_length / 4096
+
+    def test_finer_grid_over_the_cell_limit_is_refused(self, monkeypatch):
+        # The finer walk of the dense rotation needs more cells than the
+        # starting grid's; under a limit of that many, it is refused before
+        # it allocates, and only the starting grid was walked.
+        walks = []
+        walk = verify._walk
+        monkeypatch.setattr(verify, "_walk", lambda *a: walks.append(a) or walk(*a))
+        monkeypatch.setattr(verify, "MAX_GAP_CELLS", 1 << verify.GAP_CELLS_LOG2)
+        with pytest.raises(ResourceLimitError, match="grid cells"):
+            birkhoff_frequencies(DENSE_ROTATION, (F(0),), (1000, 20000))
+        assert len(walks) == 1
 
     @given(fiets_st())
     def test_flipped_left_endpoint_terminates_at_step_zero(self, f):

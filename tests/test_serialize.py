@@ -10,13 +10,16 @@ import pytest
 from fiet import (
     Fiet,
     FietCombinatorics,
+    InequalityRecord,
     ParameterSchedule,
     PathParameters,
     apply_path,
     base_datum,
     birkhoff_frequencies,
     build_path,
+    check_lemma2,
     check_lemma4,
+    check_separation,
     limit_vectors,
     matrix_fidelity_report,
     rauzy_step,
@@ -25,6 +28,7 @@ from fiet import (
 from fiet import serialize
 from fiet.serialize import (
     FREQUENCY_CSV_HEADER,
+    Deferred,
     comb_from_dict,
     comb_to_dict,
     dump_json,
@@ -41,6 +45,7 @@ from fiet.serialize import (
     named_schedule,
     parse_fraction,
     record_to_dict,
+    records_json,
     schedule_from_dict,
     schedule_to_dict,
     step_outcome_to_dict,
@@ -412,3 +417,53 @@ class TestDumpJsonStream:
         size = out.stat().st_size
         assert size > 1_000_000
         assert peak < size / 4
+
+
+def encoder_text(payload):
+    """The reference layout: the standard encoder given the deferred hook."""
+    return json.dumps(payload, indent=2, sort_keys=True,
+                      default=serialize.json_default) + "\n"
+
+
+class TestRecordText:
+    """dump_json writes record lists as text laid out as the encoder lays them out."""
+
+    @pytest.mark.parametrize("mode, depth, family", [
+        ("relaxed", 3, "computed"),  # failing tower records
+        ("strict", 2, "reference"),  # the non-strict record
+    ])
+    def test_verify_reports(self, mode, depth, family):
+        schedule = getattr(ParameterSchedule, mode)()
+        payload = verify_report_to_dict(verify_all(schedule, depth, family=family))
+        text = dump_json(payload)
+        assert text == encoder_text(payload)
+        data = json.loads(text)
+        towers = [r for tower in data["towers"].values()
+                  for level in tower.values() for r in level]
+        assert len(data["separation"]) == 12
+        if family == "computed":
+            assert len(data["records_failing"]) == 91
+            assert any(not r["holds"] for r in towers)
+        if mode == "strict":
+            assert any(not r["strict"] for r in towers)
+
+    @staticmethod
+    def records():
+        w = (1, 5, 0, 2, 9, 0, 3, 4)
+        odd = InequalityRecord('L\u00e9', 'say "x" \\ y\n\u0000', Fraction(-3, 7),
+                               Fraction(10 ** 5000 + 1, 3), Fraction(0), False, False)
+        return ([odd] + check_lemma2(w, PathParameters(2, 4, 8, 4, 2))
+                + check_separation(w, w[::-1], (0,) * 7 + (1,),
+                                   PathParameters(2, 4, 8, 4, 2)))
+
+    @pytest.mark.parametrize("depth", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("empty", [False, True])
+    def test_any_depth(self, depth, empty):
+        recs = [] if empty else self.records()
+        payload = Deferred(lambda: recs, depth)
+        # Alternate dicts and lists around the record list.
+        for k in range(depth):
+            payload = {"b": 1, "k": payload, "a": [2]} if k % 2 else [3, payload]
+        assert dump_json(payload) == encoder_text(payload)
+        if depth == 0:
+            assert "".join(records_json(recs, 0)) + "\n" == encoder_text(payload)
