@@ -261,8 +261,9 @@ def _cmd_verify(args) -> int:
         family=args.family,
         include_matrix_report=not args.no_matrix_report,
     )
-    # Every verdict is decided by now; each tower level's records are built
-    # as the level is written.
+    # Every verdict is decided by now.  The payload keeps the records
+    # themselves, and dump_json builds each tower level's records as it
+    # writes the level.
     payload = serialize.verify_report_to_dict(report)
     with _output(args.out) as fh:
         serialize.dump_json(payload, fh)

@@ -2,15 +2,14 @@
 
 Rationals are rendered "num/den" (always with the denominator, so round
 trips are unambiguous); decimals are a fixed-precision rendering for human
-readers only and never parsed back.  JSON output sorts keys and carries no
-timestamps, so identical inputs produce identical bytes.
+readers only and never parsed back.  One writer, :func:`dump_json`, lays
+out every command's JSON as ``json.dumps(indent=2, sort_keys=True)`` does,
+writes integers of any size, refuses floats and carries no timestamps, so
+identical inputs produce identical bytes.
 """
 
 from __future__ import annotations
 
-import io
-import json
-import re
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -224,79 +223,42 @@ def _cached_format_fraction() -> Callable[[Fraction], str]:
     return fraction
 
 
-def _record_dicts(recs: Sequence[InequalityRecord]) -> list[dict]:
-    fraction = _cached_format_fraction()
-    return [record_to_dict(r, fraction) for r in recs]
-
-
-def records_json(recs: Sequence[InequalityRecord], depth: int) -> Iterator[str]:
-    """JSON text of a record list that sits ``depth`` containers deep.
-
-    The text comes in pieces, one per record, and joined it is what
-    ``JSONEncoder(indent=2, sort_keys=True)`` writes there for the
-    :func:`record_to_dict` dicts.  It is built without the encoder: the
-    "num/den" values are digits and need no escaping, only ``item`` and
-    ``lemma`` do, and each distinct integer is converted to decimal once.
-    """
-    if not recs:
-        yield "[]"
-        return
-    fraction = _cached_format_fraction()
-    record = "\n" + "  " * (depth + 1)
-    field = ",\n" + "  " * (depth + 2)
-    opening = "["
-    for r in recs:
-        # The keys of record_to_dict, in sorted order.
-        yield opening + record + "{" + field[1:] + field.join((
-            f'"holds": {"true" if r.holds else "false"}',
-            f'"item": {encode_basestring_ascii(r.item)}',
-            f'"lemma": {encode_basestring_ascii(r.lemma_id)}',
-            f'"lhs": "{fraction(r.lhs)}"',
-            f'"margin": "{fraction(r.margin)}"',
-            f'"rhs": "{fraction(r.rhs)}"',
-            f'"strict": {"true" if r.strict else "false"}',
-        )) + record + "}"
-        opening = ","
-    yield "\n" + "  " * depth + "]"
-
-
 class Deferred:
     """A record list built only when it is written.
 
-    ``records`` builds the list, which sits ``depth`` containers deep in
-    its document.  :func:`dump_json` writes it as :func:`records_json` text
-    when its encoder reaches it; any other encoder given
-    :func:`json_default` gets the :func:`record_to_dict` dicts.  Either way
-    what is built is dropped once written.
+    ``records`` builds the list.  :func:`dump_json` calls it when it reaches
+    this value and writes the records where the value sits; ``json.dumps``
+    given :func:`json_default` gets the list the same way.  What is built is
+    dropped once written.
     """
 
-    __slots__ = ("records", "depth")
+    __slots__ = ("records",)
 
-    def __init__(self, records: Callable[[], Sequence[InequalityRecord]],
-                 depth: int) -> None:
+    def __init__(self, records: Callable[[], Sequence[InequalityRecord]]) -> None:
         self.records = records
-        self.depth = depth
 
 
 def json_default(o):
-    """The ``default`` hook that renders a :class:`Deferred` value."""
+    """The ``default`` hook with which ``json.dumps`` writes what
+    :func:`dump_json` writes: a :class:`Deferred` as its record list and an
+    :class:`InequalityRecord` as its :func:`record_to_dict` dict."""
     if isinstance(o, Deferred):
-        return _record_dicts(o.records())
+        return o.records()
+    if isinstance(o, InequalityRecord):
+        return record_to_dict(o)
     raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
 def verify_report_to_dict(report: dict, precision: int = 12) -> dict:
-    """JSON-ready form of the dict produced by verify.verify_all.
+    """The payload :func:`dump_json` writes for the dict of verify.verify_all.
 
-    Each tower level's record list is :class:`Deferred`: the level's
-    records and their text are built when the writer reaches that level,
-    so a written report holds one level at a time.  The separation list,
-    whose values are the largest in the report, is deferred too, so that
-    its text is written one record at a time.
+    Records stay :class:`InequalityRecord` values, written as their
+    :func:`record_to_dict` dicts, and each tower level's record list is
+    :class:`Deferred`: the level's records are built when the writer
+    reaches that level, so a written report holds one level at a time.
     """
     def level_records(tower, level) -> Deferred:
-        # A level's list sits in the report, its towers and its tower.
-        return Deferred(lambda: tower[level], 3)
+        return Deferred(lambda: tower[level])
 
     towers = {}
     for key in ("lambda7", "lambda5", "lambda2"):
@@ -314,9 +276,9 @@ def verify_report_to_dict(report: dict, precision: int = 12) -> dict:
         "checked_levels": list(report["checked_levels"]),
         "towers": towers,
         "level1_vectors": vectors,
-        "separation": Deferred(lambda: report["separation"], 1),
+        "separation": report["separation"],
         "records_total": report["records_total"],
-        "records_failing": _record_dicts(report["records_failing"]),
+        "records_failing": report["records_failing"],
         "passed": report["passed"],
     }
     if "matrix_fidelity" in report:
@@ -391,96 +353,76 @@ def frequency_report_csv(report: FrequencyReport, precision: int = 12) -> str:
     return "\n".join(lines) + "\n"
 
 
-# Encoder chunks per write.  A chunk is one key, value or separator (about
-# 100-200 characters on average in a verify report), so a write holds tens
-# of kilobytes of a report of megabytes.
-_CHUNKS_PER_WRITE = 256
-_PLACEHOLDER = re.compile(r'"\\u0000(\d+)"')
-_HOLE = '"\\u0000'  # how the encoder quotes a placeholder's start
-
-
 def dump_json(obj, stream: Optional[TextIO] = None) -> Optional[str]:
-    """Deterministic JSON: sorted keys, stable floats-free payload, newline end.
+    """Deterministic JSON: sorted keys, floats refused, newline end.
 
-    Given a text ``stream``, the document is written to it in batches of
-    encoder chunks and nothing is returned, so no copy of the whole text is
-    ever held.  Without one, the same text is returned.
-
-    Some values are written as text the encoder does not make: integers
-    past the interpreter's digit limit, which it refuses, as JSON numbers
-    of :func:`int_to_str` digits, and each :class:`Deferred` record list,
-    built when the encoder reaches it, as :func:`records_json` text.  Each
-    is swapped for a placeholder string (a NUL and an index, which no
-    payload string starts with) and its text for the pieces it is written
-    in.  In each batch the text goes where the placeholder's quoted form
-    is, and is dropped.  The encoder yields every string within one chunk,
-    so a placeholder never spans two batches, and a chunk with a
-    placeholder ends its batch.  So one record list is held at a time, and
-    of its text one record's.
+    The text is ``json.dumps(obj, indent=2, sort_keys=True,
+    default=json_default) + "\n"``, with integers of any size written in
+    :func:`int_to_str` digits.  Given a text ``stream``, it is written there
+    piece by piece as it is made and nothing is returned, so no copy of the
+    whole text is ever held; a :class:`Deferred` is built when it is
+    reached, so one record list is held at a time.  Without a stream the
+    text is returned.  A float, a dict key that is not a ``str`` or a value
+    of any other type raises ``TypeError``.
     """
-    out = io.StringIO() if stream is None else stream
-    texts: list = []  # per placeholder, the pieces of its text
-    limit = _max_str_digits()
-    payload = _swap_big_ints(obj, 3 * limit, texts) if limit else obj
-
-    def default(o):
-        if not isinstance(o, Deferred):
-            return json_default(o)
-        texts.append(records_json(o.records(), o.depth))
-        return f"\x00{len(texts) - 1}"
-
-    encoder = json.JSONEncoder(indent=2, sort_keys=True, default=default)
-    for batch in _batches(encoder.iterencode(payload)):
-        text = "".join(batch)
-        batch.clear()  # the chunks are held once, as the text
-        # Odd pieces are the indices of placeholders.
-        for k, piece in enumerate(_PLACEHOLDER.split(text)):
-            if k % 2 == 0:
-                out.write(piece)
-            else:
-                out.writelines(texts[int(piece)])
-                texts[int(piece)] = None
-        del text, piece  # before the encoder builds the next batch
-    out.write("\n")
-    return out.getvalue() if stream is None else None
+    pieces = _json_pieces(obj, "", format_fraction)
+    if stream is None:
+        return "".join(pieces) + "\n"
+    stream.writelines(pieces)
+    stream.write("\n")
+    return None
 
 
-def _batches(chunks: Iterator[str]) -> Iterator[list[str]]:
-    """Chunks in batches of ``_CHUNKS_PER_WRITE``, each cut short after a
-    chunk that holds a placeholder.  Every batch is the same list, which
-    the caller empties before taking the next."""
-    batch: list[str] = []
-    for chunk in chunks:
-        batch.append(chunk)
-        if len(batch) == _CHUNKS_PER_WRITE or _HOLE in chunk:
-            yield batch
-    yield batch
-
-
-def _swap_big_ints(o, max_bits: int, texts: list):
-    """``o`` with each integer over ``max_bits`` bits swapped for a placeholder.
-
-    The integer's digits are appended to ``texts``, as a text in one piece,
-    and the placeholder carries their index.  A container holding no such
-    integer is returned itself, not copied, so a payload without one comes
-    back unchanged.
-    """
-    if type(o) is int:
-        if o.bit_length() <= max_bits:
-            return o
-        texts.append((int_to_str(o),))
-        return f"\x00{len(texts) - 1}"
-    if isinstance(o, dict):
-        items = o.items()
+def _json_pieces(o, indent: str, fraction: Callable[[Fraction], str]) -> Iterator[str]:
+    """The JSON text of ``o`` in pieces, as :func:`dump_json` lays it out
+    ``indent`` deep.  ``fraction`` renders the values of a record; each list
+    gets its own :func:`_cached_format_fraction`."""
+    if isinstance(o, str):
+        yield encode_basestring_ascii(o)
+    elif o is None:
+        yield "null"
+    elif o is True or o is False:
+        yield "true" if o else "false"
+    elif isinstance(o, int):
+        yield int_to_str(o)
+    elif isinstance(o, InequalityRecord):
+        # The fields of record_to_dict, in sorted order.
+        field = ",\n" + indent + "  "
+        yield "{" + field[1:] + field.join((
+            f'"holds": {"true" if o.holds else "false"}',
+            f'"item": {encode_basestring_ascii(o.item)}',
+            f'"lemma": {encode_basestring_ascii(o.lemma_id)}',
+            f'"lhs": "{fraction(o.lhs)}"',
+            f'"margin": "{fraction(o.margin)}"',
+            f'"rhs": "{fraction(o.rhs)}"',
+            f'"strict": {"true" if o.strict else "false"}',
+        )) + "\n" + indent + "}"
+    elif isinstance(o, Deferred):
+        yield from _json_pieces(o.records(), indent, fraction)
+    elif isinstance(o, dict):
+        if not o:
+            yield "{}"
+            return
+        inner = indent + "  "
+        separator = "{\n" + inner
+        for key, value in sorted(o.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            yield separator + encode_basestring_ascii(key) + ": "
+            yield from _json_pieces(value, inner, fraction)
+            separator = ",\n" + inner
+        yield "\n" + indent + "}"
     elif isinstance(o, (list, tuple)):
-        items = enumerate(o)
+        if not o:
+            yield "[]"
+            return
+        inner = indent + "  "
+        fraction = _cached_format_fraction()
+        separator = "[\n" + inner
+        for item in o:
+            yield separator
+            yield from _json_pieces(item, inner, fraction)
+            separator = ",\n" + inner
+        yield "\n" + indent + "]"
     else:
-        return o
-    copy = None
-    for key, value in items:
-        swapped = _swap_big_ints(value, max_bits, texts)
-        if swapped is not value:
-            if copy is None:
-                copy = dict(o) if isinstance(o, dict) else list(o)
-            copy[key] = swapped
-    return o if copy is None else copy
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")

@@ -1,11 +1,14 @@
 """Tests for stable text encodings: fractions, JSON payloads, CSV rows."""
 
+import io
 import json
 import sys
 import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fiet import (
     Fiet,
@@ -45,7 +48,6 @@ from fiet.serialize import (
     named_schedule,
     parse_fraction,
     record_to_dict,
-    records_json,
     schedule_from_dict,
     schedule_to_dict,
     step_outcome_to_dict,
@@ -336,6 +338,43 @@ class TestDumpJson:
         assert text == layout.replace("3", digits).replace("-2", "-" + digits)
 
 
+# JSON values of every kind dump_json writes, keys included: strings with
+# quotes, backslashes, NUL and non-ASCII, and integers within the digit limit.
+json_strings = st.text() | st.sampled_from(['"', "\\", "\x00", "\u00e9", 'a"\\\x00\u20ac'])
+json_values = st.recursive(
+    st.none() | st.booleans() | json_strings
+    | st.integers(min_value=-10 ** 4000, max_value=10 ** 4000),
+    lambda children: (st.lists(children) | st.lists(children).map(tuple)
+                      | st.dictionaries(json_strings, children)),
+    max_leaves=30,
+)
+
+
+class TestDumpJsonReference:
+    """dump_json writes what json.dumps writes, and refuses a float, a
+    non-str key or a value of another type."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(json_values)
+    def test_matches_json_dumps(self, payload):
+        text = dump_json(payload)
+        assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        stream = io.StringIO()
+        assert dump_json(payload, stream) is None
+        assert stream.getvalue() == text
+
+    @pytest.mark.parametrize("payload", [
+        {"x": [1, 0.5]},
+        {"x": {1: "a"}},
+        [Fraction(1, 2)],
+    ], ids=["float", "int key", "Fraction"])
+    def test_refused(self, payload):
+        with pytest.raises(TypeError):
+            dump_json(payload)
+        with pytest.raises(TypeError):
+            dump_json(payload, io.StringIO())
+
+
 def verify_payload(depth):
     """The payload of ``fiet verify --mode relaxed --depth <depth>``."""
     report = verify_all(ParameterSchedule.relaxed(), depth, family="reference")
@@ -343,7 +382,7 @@ def verify_payload(depth):
 
 
 class TestDumpJsonStream:
-    """Given a stream, dump_json writes the text it would return, batch by batch."""
+    """Given a stream, dump_json writes the text it would return, piece by piece."""
 
     @staticmethod
     def written(payload, tmp_path):
@@ -369,20 +408,21 @@ class TestDumpJsonStream:
         assert text == json.dumps(payload, indent=2, sort_keys=True,
                                   default=serialize.json_default) + "\n"
 
-    @pytest.mark.parametrize("chunks_per_write", [1, 7])
-    def test_over_limit_integers(self, tmp_path, monkeypatch, power_matrix,
-                                 chunks_per_write):
-        text = dump_json(power_matrix)
-        assert max(len(m) for m in text.split()) > sys.get_int_max_str_digits()
-        assert json.loads(text, parse_int=str_to_int) == power_matrix
-        # Batches of a few chunks cut the text at many more places, and
-        # every placeholder is still replaced by its digits.
-        monkeypatch.setattr(serialize, "_CHUNKS_PER_WRITE", chunks_per_write)
-        assert self.written(power_matrix, tmp_path) == text
-
-    def test_payload_without_big_integers_is_not_copied(self):
-        payload = {"m": [[1, -2], (3, 0)], "s": "x"}
-        assert serialize._swap_big_ints(payload, 64, []) is payload
+    @pytest.mark.parametrize("depth", [1, 7])
+    def test_over_limit_integers(self, tmp_path, power_matrix, depth):
+        # The matrix sits ``depth`` containers deep, so its digits are written
+        # at that indent, one entry a line.
+        payload = power_matrix
+        for _ in range(depth - 1):
+            payload = [payload]
+        text = dump_json(payload)
+        lines = [line for line in text.splitlines()
+                 if len(line) > sys.get_int_max_str_digits()]
+        assert lines
+        assert all(line.startswith(" " * (2 * depth + 4))
+                   and line.lstrip(" -").rstrip(",").isdigit() for line in lines)
+        assert json.loads(text, parse_int=str_to_int) == payload
+        assert self.written(payload, tmp_path) == text
 
     @pytest.mark.parametrize("payload", [{}, []], ids=["dict", "list"])
     def test_empty_containers(self, tmp_path, payload):
@@ -460,10 +500,8 @@ class TestRecordText:
     @pytest.mark.parametrize("empty", [False, True])
     def test_any_depth(self, depth, empty):
         recs = [] if empty else self.records()
-        payload = Deferred(lambda: recs, depth)
-        # Alternate dicts and lists around the record list.
-        for k in range(depth):
-            payload = {"b": 1, "k": payload, "a": [2]} if k % 2 else [3, payload]
-        assert dump_json(payload) == encoder_text(payload)
-        if depth == 0:
-            assert "".join(records_json(recs, 0)) + "\n" == encoder_text(payload)
+        for payload in (Deferred(lambda: recs), recs):
+            # Alternate dicts and lists around the record list.
+            for k in range(depth):
+                payload = {"b": 1, "k": payload, "a": [2]} if k % 2 else [3, payload]
+            assert dump_json(payload) == encoder_text(payload)
