@@ -18,7 +18,6 @@ sorted JSON keys, exact rationals as "num/den", no timestamps.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import shutil
@@ -36,7 +35,7 @@ from .construction import (
     build_path,
     limit_vectors,
 )
-from .core import Fiet, FietError
+from .core import Fiet, FietError, replace
 from .induction import KeaneViolation, RauzyPath, apply_path, rauzy_step, symbolic_step
 from .verify import (
     birkhoff_frequencies,
@@ -138,7 +137,7 @@ def _schedule_from_args(args) -> ParameterSchedule:
     overrides = {k: v for k, v in overrides.items() if v is not None}
     if overrides:
         with _bad_input("bad schedule override"):
-            schedule = dataclasses.replace(schedule, **overrides, mode="custom")
+            schedule = replace(schedule, **overrides, mode="custom")
     return schedule
 
 

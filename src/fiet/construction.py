@@ -30,13 +30,12 @@ column sums are the eight expansion coefficients of the inequality suite in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
-from .core import FietCombinatorics, FietError, exact_int
+from .core import FietCombinatorics, FietError, Record, exact_int
 from .induction import RauzyPath, TransitionMatrix, apply_path, thread_runs
 
 N_LABELS = 8
@@ -68,8 +67,7 @@ def base_datum() -> FietCombinatorics:
     return FietCombinatorics(N_LABELS, BASE_PI0, BASE_PI1, BASE_FLIPS)
 
 
-@dataclass(frozen=True)
-class PathParameters:
+class PathParameters(Record):
     """Run lengths (p1..p5) of the five parameterized runs of the path."""
 
     p1: int
@@ -215,8 +213,7 @@ NAMED_SCHEDULES = {
 }
 
 
-@dataclass(frozen=True)
-class ParameterSchedule:
+class ParameterSchedule(Record):
     """Geometric growth schedule for the per-copy parameters.
 
     Copy j (1-based) uses p1 = p1_1 * d**(3*(j-1)), p2 = d * p1, p3 = d * p2,
@@ -229,26 +226,29 @@ class ParameterSchedule:
 
     d: int
     p1_1: int
-    p4_rule: str = "p2"
-    p5_rule: str = "p1"
-    mode: str = "custom"
+    p4_rule: str
+    p5_rule: str
+    mode: str
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "d", exact_int(self.d, "d"))
-        object.__setattr__(self, "p1_1", exact_int(self.p1_1, "p1_1"))
-        if self.d < 2:
+    def __init__(self, d: int, p1_1: int, p4_rule: str = "p2",
+                 p5_rule: str = "p1", mode: str = "custom") -> None:
+        d = exact_int(d, "d")
+        p1_1 = exact_int(p1_1, "p1_1")
+        if d < 2:
             raise ValueError("d must be >= 2")
-        if self.p1_1 < 1:
+        if p1_1 < 1:
             raise ValueError("p1_1 must be >= 1")
+        values = {"d": d, "p1_1": p1_1, "p4_rule": p4_rule, "p5_rule": p5_rule}
         for name in ("p4_rule", "p5_rule"):
-            if getattr(self, name) not in ("p1", "p2", "p3"):
+            if values[name] not in ("p1", "p2", "p3"):
                 raise ValueError(f"{name} must be one of 'p1', 'p2', 'p3'")
-        values = {k: getattr(self, k) for k in ("d", "p1_1", "p4_rule", "p5_rule")}
-        if self.mode != "custom" and NAMED_SCHEDULES.get(self.mode) != values:
+        if mode != "custom" and NAMED_SCHEDULES.get(mode) != values:
             raise ValueError(
                 f"mode must be 'custom', or a name in {sorted(NAMED_SCHEDULES)} "
-                f"with that schedule's values; got {self.mode!r} with {values}"
+                f"with that schedule's values; got {mode!r} with {values}"
             )
+        for name, value in zip(self._fields, (d, p1_1, p4_rule, p5_rule, mode)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def relaxed(cls) -> "ParameterSchedule":
@@ -366,8 +366,7 @@ def l1_cross(u: Sequence[int], su: int, v: Sequence[int], sv: int) -> int:
     return sum(abs(a * sv - b * su) for a, b in zip(u, v))
 
 
-@dataclass(frozen=True)
-class LimitReport:
+class LimitReport(Record):
     """Normalized images of the three seed directions after m blocks."""
 
     m: int

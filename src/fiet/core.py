@@ -17,16 +17,108 @@ closed on the left and open on the right.  For a flipped label the left
 endpoint of its domain subinterval has no image under this convention; it is
 declared a discontinuity and orbits reaching it terminate with
 :class:`OrbitTerminated`.
+
+Every value type of the package (an FIET, a path, a matrix, a report) is an
+immutable :class:`Record`, and :func:`replace` copies one with some fields
+changed.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from operator import attrgetter
 from typing import Iterable, Sequence
+
+_set = object.__setattr__
+
+
+class Record:
+    """An immutable record: the fields of a frozen dataclass, without its cost.
+
+    A subclass's fields are its own annotated names, in order, and a
+    class-level value is that field's default.  Records compare equal when
+    they are of one class and their field values are equal, hash as the
+    tuple of those values, and print as ``Name(field=value, ...)``;
+    assigning or deleting an attribute raises ``AttributeError``.
+
+    The generic constructor binds positional and keyword arguments to the
+    fields as a function signature would, stores them and calls
+    :meth:`__post_init__`.  A subclass that normalizes a field defines its
+    own ``__init__`` instead, which validates and stores each field once
+    with ``object.__setattr__``.  Nothing is generated or compiled per
+    class, so defining a record costs no more than defining a class.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = fields = cls.__match_args__ = tuple(cls.__annotations__)
+        cls._defaults = {k: vars(cls)[k] for k in fields if k in vars(cls)}
+        # The tuple of field values, read in C when there are two or more.
+        cls._values = property(attrgetter(*fields) if len(fields) > 1
+                               else lambda r: tuple(getattr(r, k) for k in fields))
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        for name, value in zip(fields, args):
+            _set(self, name, value)
+        self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> list:
+        """The field values the arguments give, in field order."""
+        fields, name = cls._fields, f"{cls.__qualname__}.__init__()"
+        if len(args) > len(fields):
+            raise TypeError(f"{name} takes {len(fields) + 1} positional arguments "
+                            f"but {len(args) + 1} were given")
+        values = dict(zip(fields, args))
+        for key, value in kwargs.items():
+            if key not in fields:
+                raise TypeError(f"{name} got an unexpected keyword argument {key!r}")
+            if key in values:
+                raise TypeError(f"{name} got multiple values for argument {key!r}")
+            values[key] = value
+        missing = [k for k in fields if k not in values and k not in cls._defaults]
+        if missing:
+            raise TypeError(f"{name} missing required argument(s) "
+                            + ", ".join(map(repr, missing)))
+        return [values[k] if k in values else cls._defaults[k] for k in fields]
+
+    def __post_init__(self) -> None:
+        """Validate the stored fields; a subclass overrides it."""
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values == other._values
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={getattr(self, k)!r}" for k in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+def replace(record: Record, **changes) -> Record:
+    """A copy of ``record`` with ``changes``, built by its constructor, so the
+    new values are validated as any others are."""
+    values = {k: getattr(record, k) for k in record._fields}
+    values.update(changes)
+    return type(record)(**values)
 
 
 class FietError(Exception):
@@ -107,8 +199,7 @@ def _check_permutation(
     return _ints(images)
 
 
-@dataclass(frozen=True)
-class FietCombinatorics:
+class FietCombinatorics(Record):
     """Discrete part of an FIET: label orders (pi0, pi1) and the flip set."""
 
     n: int
@@ -116,16 +207,19 @@ class FietCombinatorics:
     pi1: tuple[int, ...]
     flips: frozenset[int]
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __init__(self, n: int, pi0, pi1, flips) -> None:
+        if n < 1:
             raise ValueError("n must be >= 1")
-        labels = _labels(self.n)
-        object.__setattr__(self, "pi0", _check_permutation(self.pi0, labels, "pi0"))
-        object.__setattr__(self, "pi1", _check_permutation(self.pi1, labels, "pi1"))
-        flips = frozenset(self.flips)
+        labels = _labels(n)
+        pi0 = _check_permutation(pi0, labels, "pi0")
+        pi1 = _check_permutation(pi1, labels, "pi1")
+        flips = frozenset(flips)
         if not flips <= labels:
-            raise ValueError(f"flips {set(flips)} not a subset of 1..{self.n}")
-        object.__setattr__(self, "flips", _ints(flips))
+            raise ValueError(f"flips {set(flips)} not a subset of 1..{n}")
+        _set(self, "n", n)
+        _set(self, "pi0", pi0)
+        _set(self, "pi1", pi1)
+        _set(self, "flips", _ints(flips))
 
     @property
     def rightmost_domain_label(self) -> int:
@@ -150,25 +244,23 @@ class FietCombinatorics:
         return FietCombinatorics(self.n, self.pi1, self.pi0, self.flips)
 
 
-@dataclass(frozen=True)
-class Fiet:
+class Fiet(Record):
     """A full FIET: combinatorics plus positive exact lengths (indexed by label)."""
 
     comb: FietCombinatorics
     lengths: tuple[Fraction, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, comb: FietCombinatorics, lengths) -> None:
         # A Fraction is already normalized; anything else (a subclass too) is
         # converted once.  Its denominator is positive, so the sign is the
         # numerator's.
-        lengths = tuple(
-            v if type(v) is Fraction else Fraction(v) for v in self.lengths
-        )
-        object.__setattr__(self, "lengths", lengths)
-        if len(lengths) != self.comb.n:
+        lengths = tuple(v if type(v) is Fraction else Fraction(v) for v in lengths)
+        if len(lengths) != comb.n:
             raise ValueError("lengths must have one entry per label")
         if any(v.numerator <= 0 for v in lengths):
             raise ValueError("all lengths must be positive")
+        _set(self, "comb", comb)
+        _set(self, "lengths", lengths)
 
     @property
     def n(self) -> int:
@@ -188,8 +280,7 @@ class Fiet:
         return Fiet(self.comb.swapped(), self.lengths)
 
 
-@dataclass(frozen=True)
-class OrbitPoint:
+class OrbitPoint(Record):
     """Result of iterating an orbit: final position and per-label visit counts."""
 
     position: Fraction

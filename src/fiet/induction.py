@@ -31,11 +31,10 @@ the case analysis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from typing import Sequence
 
-from .core import Fiet, FietCombinatorics, FietError
+from .core import Fiet, FietCombinatorics, FietError, Record
 
 LETTERS = ("a", "b")
 # The most runs RauzyPath.repeat builds, beside the 10**6 letters word expands.
@@ -46,18 +45,17 @@ class KeaneViolation(FietError):
     """The two rightmost subintervals tie (or coincide), so no step is defined."""
 
 
-@dataclass(frozen=True)
-class TransitionMatrix:
+class TransitionMatrix(Record):
     """Square integer matrix, rows-of-tuples; exact bigint arithmetic."""
 
     rows: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        rows = tuple(tuple(int(v) for v in row) for row in self.rows)
-        object.__setattr__(self, "rows", rows)
+    def __init__(self, rows) -> None:
+        rows = tuple(tuple(int(v) for v in row) for row in rows)
         n = len(rows)
         if n == 0 or any(len(r) != n for r in rows):
             raise ValueError("matrix must be square and non-empty")
+        object.__setattr__(self, "rows", rows)
 
     @property
     def n(self) -> int:
@@ -142,8 +140,7 @@ class TransitionMatrix:
         return sign * m[n - 1][n - 1]
 
 
-@dataclass(frozen=True)
-class StepOutcome:
+class StepOutcome(Record):
     """Everything one induction step produces besides the new lengths."""
 
     new_comb: FietCombinatorics
@@ -205,15 +202,14 @@ def rauzy_step(f: Fiet) -> tuple[Fiet, StepOutcome]:
     return Fiet(out.new_comb, tuple(lengths)), out
 
 
-@dataclass(frozen=True)
-class RauzyPath:
+class RauzyPath(Record):
     """A word over {'a','b'}, run-length encoded so runs may be astronomically long."""
 
     runs: tuple[tuple[str, int], ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, runs) -> None:
         merged: list[list] = []
-        for letter, count in self.runs:
+        for letter, count in runs:
             if letter not in LETTERS:
                 raise ValueError(f"invalid letter {letter!r}")
             count = int(count)

@@ -18,7 +18,7 @@ from typing import Callable, Iterator, Optional, Sequence, TextIO
 from .core import Fiet, FietCombinatorics, exact_int
 from .construction import NAMED_SCHEDULES, LimitReport, ParameterSchedule
 from .induction import StepOutcome, TransitionMatrix
-from .verify import FrequencyReport, InequalityRecord
+from .verify import FrequencyReport, InequalityRecord, LevelRecords
 
 
 # The interpreter's int/str conversion digit limit; 0 means none.  Python
@@ -209,8 +209,10 @@ def limit_report_to_dict(rep: LimitReport, precision: int = 12) -> dict:
 def _cached_format_fraction() -> Callable[[Fraction], str]:
     """:func:`format_fraction` converting each distinct integer once.
 
-    A record list repeats its integers (a level's total is the denominator
-    of most of its values), so one of these serves one list.
+    A level's records repeat their integers (the level's total is the
+    denominator of most of its values), so one of these serves one list,
+    or one level of a :class:`~fiet.verify.LevelRecords`: a level's digits
+    are dropped when the next level begins.
     """
     digits: dict[int, str] = {}
 
@@ -375,8 +377,9 @@ def dump_json(obj, stream: Optional[TextIO] = None) -> Optional[str]:
 
 def _json_pieces(o, indent: str, fraction: Callable[[Fraction], str]) -> Iterator[str]:
     """The JSON text of ``o`` in pieces, as :func:`dump_json` lays it out
-    ``indent`` deep.  ``fraction`` renders the values of a record; each list
-    gets its own :func:`_cached_format_fraction`."""
+    ``indent`` deep.  ``fraction`` renders the values of a record; each list,
+    and each level of a :class:`~fiet.verify.LevelRecords`, gets its own
+    :func:`_cached_format_fraction`."""
     if isinstance(o, str):
         yield encode_basestring_ascii(o)
     elif o is None:
@@ -417,9 +420,11 @@ def _json_pieces(o, indent: str, fraction: Callable[[Fraction], str]) -> Iterato
             yield "[]"
             return
         inner = indent + "  "
-        fraction = _cached_format_fraction()
+        starts = o.starts if isinstance(o, LevelRecords) else {0}
         separator = "[\n" + inner
-        for item in o:
+        for i, item in enumerate(o):
+            if i in starts:
+                fraction = _cached_format_fraction()
             yield separator
             yield from _json_pieces(item, inner, fraction)
             separator = ",\n" + inner

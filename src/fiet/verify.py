@@ -22,13 +22,13 @@ from __future__ import annotations
 
 import random
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .core import (
     Fiet,
     FietCombinatorics,
+    Record,
     _Tiles,
     _walk,
     domain_partition,
@@ -56,8 +56,7 @@ GAP_CELLS_LOG2 = 12  # birkhoff_frequencies' max_gap grid starts with ~4096 cell
 MAX_GAP_CELLS = 1 << 20  # a finer one past ~1M cells: ~0.5 GiB at 1734-bit L
 
 
-@dataclass(frozen=True)
-class InequalityRecord:
+class InequalityRecord(Record):
     """One checked inequality: lhs (cmp) rhs with exact margin = lhs - rhs.
 
     ``holds`` is ``margin > 0`` for strict records and ``margin >= 0`` for
@@ -71,6 +70,19 @@ class InequalityRecord:
     margin: Fraction
     holds: bool
     strict: bool = True
+
+
+class LevelRecords(list):
+    """Records of several levels in one list; ``starts`` holds the index at
+    which each level's records begin, so a writer can work level by level."""
+
+    def __init__(self, records=()) -> None:
+        super().__init__(records)
+        self.starts = {0}
+
+    def add_level(self, records) -> None:
+        self.starts.add(len(self))
+        self.extend(records)
 
 
 class _Records:
@@ -465,7 +477,8 @@ def verify_all(
     inequality record at every checked level (under "towers", one
     :class:`TowerRecords` per tower, which builds a level when it is read),
     the separation records on the level-1 vectors, the count and the list
-    of failing records, and (optionally) the matrix fidelity report.  The
+    of failing records (a :class:`LevelRecords`, the separation's first),
+    and (optionally) the matrix fidelity report.  The
     "passed" flag is True iff every record holds AND, when the fidelity
     report is included, the reference-family sum identities hold AND, at
     each fidelity parameter set, the two families are equal entry-wise or
@@ -485,14 +498,14 @@ def verify_all(
     # failing record is built here, so the totals and the failing records
     # are known before any level is written.
     total = len(separation)
-    failing = [r for r in separation if not r.holds]
+    failing = LevelRecords(r for r in separation if not r.holds)
     for key in ("lambda7", "lambda5", "lambda2"):
         tower = towers[key]
         for level in tower:
             verdicts = tower.verdicts(level)
             total += len(verdicts)
             if not all(verdicts):
-                failing += [r for r in tower[level] if not r.holds]
+                failing.add_level(r for r in tower[level] if not r.holds)
     report = {
         "schedule": schedule,
         "validity": schedule.validity(b),
@@ -515,8 +528,7 @@ def verify_all(
     return report
 
 
-@dataclass(frozen=True)
-class StartResult:
+class StartResult(Record):
     """Birkhoff statistics of one orbit up to one horizon."""
 
     start: Fraction
@@ -527,8 +539,7 @@ class StartResult:
     max_gap: Fraction
 
 
-@dataclass(frozen=True)
-class FrequencyReport:
+class FrequencyReport(Record):
     """Visit frequencies for several starts and horizons on one FIET."""
 
     start_points: tuple[Fraction, ...]

@@ -777,3 +777,19 @@ class TestBenchmarkHooks:
         for module, name, _ in hooks["TRACED_FUNCTIONS"]:
             assert callable(getattr(importlib.import_module(module), name, None)), \
                 f"{module}.{name}"
+
+
+class TestStartup:
+    def test_import_loads_no_code_introspection_modules(self):
+        # Every command starts by importing fiet.cli.  It is compared with
+        # a bare interpreter in the same environment, so that site start-up
+        # files do not decide what counts as added.
+        show = "import sys; print(' '.join(sorted(sys.modules)))"
+        bare, cli = (
+            set(TestOutputErrors.run_argv([sys.executable, "-c", code],
+                                          stdout=subprocess.PIPE).stdout.split())
+            for code in (show, "import fiet.cli; " + show)
+        )
+        added = {name.decode() for name in cli - bare}
+        assert "fiet.cli" in added
+        assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize"}

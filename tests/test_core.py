@@ -10,16 +10,22 @@ from hypothesis import strategies as st
 
 from conftest import combinatorics_st, fiets_st, steppable_fiets_st
 from fiet import core, verify
-from fiet.core import _Tiles
+from fiet.core import Record, _Tiles, replace
 from fiet import (
     DomainError,
     Fiet,
     FietCombinatorics,
     FlipDiscontinuityError,
+    InequalityRecord,
     OracleInapplicable,
+    OrbitPoint,
     OrbitTerminated,
     ParameterSchedule,
+    PathParameters,
+    RauzyPath,
     ResourceLimitError,
+    StepOutcome,
+    TransitionMatrix,
     base_datum,
     birkhoff_frequencies,
     domain_partition,
@@ -617,3 +623,169 @@ class TestValidation:
             Fiet(c, (F(1), F(0)))
         with pytest.raises(ValueError):
             Fiet(c, (F(1), F(-2)))
+
+
+class TestRecord:
+    """The immutable-record base that every value type of the package uses."""
+
+    REC = InequalityRecord("L1", "x7 > 1/7", F(1, 3), F(1, 7), F(4, 21), True)
+
+    def test_positional_keyword_and_default_construction_agree(self):
+        values = ("L1", "x7 > 1/7", F(1, 3), F(1, 7), F(4, 21), True)
+        fields = ("lemma_id", "item", "lhs", "rhs", "margin", "holds")
+        records = [
+            InequalityRecord(*values),
+            InequalityRecord(*values, True),
+            InequalityRecord(**dict(zip(fields, values))),
+            InequalityRecord(*values[:3], strict=True, **dict(zip(fields[3:], values[3:]))),
+        ]
+        assert all(r == records[0] for r in records)
+        assert len({hash(r) for r in records}) == 1
+        assert records[0].strict is True
+        assert InequalityRecord(*values, False) != records[0]
+
+    @pytest.mark.parametrize("args, kwargs, message", [
+        (("L1", "x"), {}, "missing required argument"),
+        (("L1", "x", 1, 2, 3, True, True, 9), {}, "positional arguments"),
+        (("L1", "x", 1, 2, 3, True), {"weight": 1}, "unexpected keyword argument 'weight'"),
+        (("L1", "x", 1, 2, 3, True), {"item": "y"}, "multiple values for argument 'item'"),
+    ])
+    def test_missing_unknown_or_repeated_field_is_a_type_error(self, args, kwargs, message):
+        with pytest.raises(TypeError, match=message):
+            InequalityRecord(*args, **kwargs)
+
+    @pytest.mark.parametrize("cls, args", [
+        (FietCombinatorics, (2, (1, 2))),
+        (FietCombinatorics, (2, (1, 2), (2, 1), fs(), 5)),
+        (Fiet, ()),
+        (ParameterSchedule, (3,)),
+    ])
+    def test_own_constructors_bind_as_before(self, cls, args):
+        with pytest.raises(TypeError):
+            cls(*args)
+
+    @pytest.mark.parametrize("record", [REC, FLIPPY, FLIPPY.comb, PathParameters(2, 3, 4, 3, 2),
+                                        ParameterSchedule.relaxed()],
+                             ids=lambda r: type(r).__name__)
+    def test_assignment_and_deletion_raise(self, record):
+        field = record._fields[0]
+        before = getattr(record, field)
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+            setattr(record, field, before)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
+            delattr(record, field)
+        with pytest.raises(AttributeError, match="cannot assign to field 'other'"):
+            record.other = 1
+        assert getattr(record, field) is before
+
+    def test_unequal_to_a_tuple_or_another_class(self):
+        class Twin(Record):
+            lemma_id: str
+            item: str
+            lhs: F
+            rhs: F
+            margin: F
+            holds: bool
+            strict: bool = True
+
+        values = tuple(getattr(self.REC, k) for k in self.REC._fields)
+        assert self.REC != values and values != self.REC
+        twin = Twin(*values)
+        assert twin != self.REC and self.REC != twin
+        assert hash(twin) == hash(self.REC) == hash(values)
+        assert OrbitPoint(F(1), (1,)) != (F(1), (1,))
+
+    def test_fields_are_the_own_annotations_in_order(self):
+        assert InequalityRecord._fields == (
+            "lemma_id", "item", "lhs", "rhs", "margin", "holds", "strict")
+        assert ParameterSchedule._fields == ("d", "p1_1", "p4_rule", "p5_rule", "mode")
+        assert TransitionMatrix._fields == ("rows",)
+        assert PathParameters.__match_args__ == ("p1", "p2", "p3", "p4", "p5")
+
+    def test_replace_runs_validation_again(self):
+        s = ParameterSchedule.relaxed()
+        assert replace(s, d=3, mode="custom") == ParameterSchedule(3, 256)
+        assert replace(s) == s
+        with pytest.raises(ValueError, match="mode must be 'custom'"):
+            replace(s, d=3)
+        with pytest.raises(ValueError, match="must be one of 'p1', 'p2', 'p3'"):
+            replace(s, p4_rule="p6", mode="custom")
+        with pytest.raises(TypeError):
+            replace(s, dd=3)
+        with pytest.raises(ValueError, match="p3 must be a positive integer, got 0"):
+            replace(PathParameters(2, 3, 4, 3, 2), p3=0)
+
+    @pytest.mark.parametrize("record, text", [
+        (PathParameters(2, 3, 4, 3, 2), "PathParameters(p1=2, p2=3, p3=4, p4=3, p5=2)"),
+        (FLIPPY, "Fiet(comb=FietCombinatorics(n=3, pi0=(1, 2, 3), pi1=(2, 3, 1), "
+                 "flips=frozenset({1, 3})), "
+                 "lengths=(Fraction(1, 1), Fraction(5, 1), Fraction(4, 1)))"),
+        (ParameterSchedule(3, 5), "ParameterSchedule(d=3, p1_1=5, p4_rule='p2', "
+                                  "p5_rule='p1', mode='custom')"),
+        (TransitionMatrix(((1, 2), (3, 4))), "TransitionMatrix(rows=((1, 2), (3, 4)))"),
+        (RauzyPath.from_word("aab"), "RauzyPath(runs=(('a', 2), ('b', 1)))"),
+        (OrbitPoint(F(1, 2), (1, 0)), "OrbitPoint(position=Fraction(1, 2), visit_counts=(1, 0))"),
+        (REC, "InequalityRecord(lemma_id='L1', item='x7 > 1/7', lhs=Fraction(1, 3), "
+              "rhs=Fraction(1, 7), margin=Fraction(4, 21), holds=True, strict=True)"),
+        (StepOutcome(FLIPPY.comb, 1, 2, "a1", "a"),
+         "StepOutcome(new_comb=FietCombinatorics(n=3, pi0=(1, 2, 3), pi1=(2, 3, 1), "
+         "flips=frozenset({1, 3})), winner=1, loser=2, case_tag='a1', letter='a')"),
+    ], ids=lambda v: type(v).__name__ if isinstance(v, Record) else "")
+    def test_repr_is_the_dataclass_text(self, record, text):
+        assert repr(record) == text
+
+    def test_triple_shape_message_prints_the_parameters(self):
+        with pytest.raises(ValueError) as err:
+            verify.check_lemma1((1,) * 8, PathParameters(2, 3, 4, 3, 2), d=2)
+        assert str(err.value) == (
+            "parameters PathParameters(p1=2, p2=3, p3=4, p4=3, p5=2) do not "
+            "satisfy p2 = d*p1, p3 = d*p2 with d = 2"
+        )
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: FietCombinatorics(0, (), (), fs()), "n must be >= 1"),
+        (lambda: FietCombinatorics(3, (1, 2, 2), (1, 2, 3), fs()),
+         "pi0 must be a permutation of 1..3, got (1, 2, 2)"),
+        (lambda: FietCombinatorics(3, (1, 2, 3), [0, 1, 2], fs()),
+         "pi1 must be a permutation of 1..3, got (0, 1, 2)"),
+        (lambda: FietCombinatorics(3, (1, 2, 3), (1, 2, 3), [4]), "flips {4} not a subset of 1..3"),
+        (lambda: Fiet(FLIPPY.comb, (1, 2)), "lengths must have one entry per label"),
+        (lambda: Fiet(FLIPPY.comb, (1, 2, 0)), "all lengths must be positive"),
+        (lambda: TransitionMatrix(((1, 2), (3,))), "matrix must be square and non-empty"),
+        (lambda: TransitionMatrix(()), "matrix must be square and non-empty"),
+        (lambda: RauzyPath((("x", 1),)), "invalid letter 'x'"),
+        (lambda: RauzyPath((("a", -1),)), "run counts must be >= 0"),
+        (lambda: ParameterSchedule(1, 5), "d must be >= 2"),
+        (lambda: ParameterSchedule(3, 0), "p1_1 must be >= 1"),
+        (lambda: ParameterSchedule(3, "5"), "p1_1 must be an integer, got '5'"),
+        (lambda: ParameterSchedule(3, 5, p5_rule="q1"), "p5_rule must be one of 'p1', 'p2', 'p3'"),
+        (lambda: ParameterSchedule(128, 256, mode="strict"),
+         "mode must be 'custom', or a name in ['relaxed', 'strict'] with that "
+         "schedule's values; got 'strict' with {'d': 128, 'p1_1': 256, "
+         "'p4_rule': 'p2', 'p5_rule': 'p1'}"),
+        (lambda: PathParameters(1, 1, True, 1, 1), "p3 must be a positive integer, got True"),
+    ])
+    def test_validation_messages(self, build, message):
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == message
+
+    def test_normalized_fields_are_stored_once_converted(self):
+        c = FietCombinatorics(3, [1, 2, 3], [2, 3, 1], {1, 3})
+        assert c == FLIPPY.comb and type(c.pi0) is tuple and type(c.flips) is frozenset
+        assert TransitionMatrix([[True, 2], [3, 4]]).rows == ((1, 2), (3, 4))
+        s = ParameterSchedule(d=F(128), p1_1=256.0, mode="relaxed")
+        assert s == ParameterSchedule.relaxed() and type(s.d) is int and type(s.p1_1) is int
+
+    @given(fiets_st())
+    def test_keyword_positional_and_inverse_round_trips(self, f):
+        c = f.comb
+        keyword = Fiet(comb=FietCombinatorics(n=c.n, pi0=c.pi0, pi1=c.pi1, flips=c.flips),
+                       lengths=f.lengths)
+        assert keyword == f == Fiet(FietCombinatorics(c.n, c.pi0, c.pi1, c.flips), f.lengths)
+        assert hash(keyword) == hash(f)
+        assert repr(keyword) == repr(f)
+        assert f.inverse().inverse() == f
+        assert hash(f.inverse().inverse()) == hash(f)
+        assert f.inverse().comb == FietCombinatorics(c.n, c.pi1, c.pi0, c.flips)
+        assert replace(f, comb=c.swapped()) == f.inverse()

@@ -28,7 +28,7 @@ from fiet import (
     rauzy_step,
     verify_all,
 )
-from fiet import serialize
+from fiet import serialize, verify
 from fiet.serialize import (
     FREQUENCY_CSV_HEADER,
     Deferred,
@@ -495,6 +495,41 @@ class TestRecordText:
         return ([odd] + check_lemma2(w, PathParameters(2, 4, 8, 4, 2))
                 + check_separation(w, w[::-1], (0,) * 7 + (1,),
                                    PathParameters(2, 4, 8, 4, 2)))
+
+    def test_failing_records_convert_digits_once_per_level(self, monkeypatch):
+        # The failing list spans every level; its digits are cached one
+        # level at a time, so an integer two levels share is converted twice.
+        big = 10 ** 60 + 7
+        rec = InequalityRecord("L1", "x", Fraction(1, big), Fraction(2, big),
+                               Fraction(-1, big), False)
+        failing = verify.LevelRecords([rec, rec])
+        failing.add_level([rec])
+        assert failing == [rec] * 3 and failing.starts == {0, 2}
+        converted = []
+
+        def counting(n):
+            converted.append(n)
+            return int_to_str(n)
+
+        monkeypatch.setattr(serialize, "int_to_str", counting)
+        payload = {"records_failing": failing}
+        text = dump_json(payload)
+        assert converted.count(big) == 2
+        assert text == encoder_text(payload)
+
+    def test_verify_all_groups_failing_records_by_level(self):
+        rep = verify_all(ParameterSchedule.relaxed(), 3, family="computed",
+                         include_matrix_report=False)
+        failing = rep["records_failing"]
+        assert isinstance(failing, verify.LevelRecords) and len(failing) == 91
+        # The separation's failing records first, then each level's.
+        runs = [[r for r in rep["separation"] if not r.holds]] + [
+            [r for r in tower[level] if not r.holds]
+            for key in ("lambda7", "lambda5", "lambda2")
+            for tower in [rep["towers"][key]] for level in tower
+        ]
+        ends = sorted(failing.starts) + [len(failing)]
+        assert [failing[a:b] for a, b in zip(ends, ends[1:])] == [r for r in runs if r]
 
     @pytest.mark.parametrize("depth", [0, 1, 2, 3, 4])
     @pytest.mark.parametrize("empty", [False, True])
