@@ -46,9 +46,10 @@ class Record:
 
     The generic constructor binds positional and keyword arguments to the
     fields as a function signature would, stores them and calls
-    :meth:`__post_init__`.  A subclass that normalizes a field defines its
-    own ``__init__`` instead, which validates and stores each field once
-    with ``object.__setattr__``.  Nothing is generated or compiled per
+    :meth:`__post_init__`.  A subclass that normalizes a field, or that is
+    built once per induction step, defines its own ``__init__`` instead,
+    which validates and stores each field once with
+    ``object.__setattr__``.  Nothing is generated or compiled per
     class, so defining a record costs no more than defining a class.
     """
 
@@ -253,8 +254,11 @@ class Fiet(Record):
     def __init__(self, comb: FietCombinatorics, lengths) -> None:
         # A Fraction is already normalized; anything else (a subclass too) is
         # converted once.  Its denominator is positive, so the sign is the
-        # numerator's.
-        lengths = tuple(v if type(v) is Fraction else Fraction(v) for v in lengths)
+        # numerator's.  Tuples built once per object are built from a list,
+        # at their exact size: a tuple built from a generator is allocated
+        # at ten slots and shrunk, so it is never taken from, only added
+        # to, the interpreter's free list of its final length.
+        lengths = tuple([v if type(v) is Fraction else Fraction(v) for v in lengths])
         if len(lengths) != comb.n:
             raise ValueError("lengths must have one entry per label")
         if any(v.numerator <= 0 for v in lengths):
@@ -268,7 +272,7 @@ class Fiet(Record):
 
     @property
     def total_length(self) -> Fraction:
-        den = lcm(*(q.denominator for q in self.lengths))
+        den = lcm(*[q.denominator for q in self.lengths])
         return Fraction(
             sum(q.numerator * (den // q.denominator) for q in self.lengths), den
         )
@@ -319,7 +323,7 @@ class _Tiles:
     """
 
     def __init__(self, f: Fiet, points: Iterable[Fraction] = ()):
-        self.scale = scale = 2 * lcm(*(q.denominator for q in (*f.lengths, *points)))
+        self.scale = scale = 2 * lcm(*[q.denominator for q in (*f.lengths, *points)])
         lam = [q.numerator * (scale // q.denominator) for q in f.lengths]
         left = {label: v for label, v, _ in _partition(f.comb.pi1, lam, 0)}
         self.tiles = [
@@ -637,9 +641,10 @@ def first_return(f: Fiet, cut: Fraction) -> Fiet:
                 f"with {len(missing)} labels missing"
             )
 
-    new_pi0 = tuple(labels[p[0]] for _, _, p in domains)
-    new_pi1 = tuple(labels[p[0]] for p in done)
+    # Exact-size tuples, as in Fiet.__init__.
+    new_pi0 = tuple([labels[p[0]] for _, _, p in domains])
+    new_pi1 = tuple([labels[p[0]] for p in done])
     new_flips = frozenset(labels[p[0]] for p in done if p[2] == -1)
     lengths = {labels[p[0]]: Fraction(p[1] - p[0], scale) for p in done}
     comb = FietCombinatorics(f.n, new_pi0, new_pi1, new_flips)
-    return Fiet(comb, tuple(lengths[k] for k in range(1, f.n + 1)))
+    return Fiet(comb, tuple([lengths[k] for k in range(1, f.n + 1)]))

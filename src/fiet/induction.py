@@ -149,6 +149,16 @@ class StepOutcome(Record):
     case_tag: str  # 'a1', 'a2' (winner = domain label), 'b1', 'b2' (range label)
     letter: str  # 'a' (range label wins) or 'b' (domain label wins)
 
+    def __init__(self, new_comb: FietCombinatorics, winner: int, loser: int,
+                 case_tag: str, letter: str) -> None:
+        # Every induction step builds one, so each field is stored directly
+        # rather than bound through the generic constructor.
+        object.__setattr__(self, "new_comb", new_comb)
+        object.__setattr__(self, "winner", winner)
+        object.__setattr__(self, "loser", loser)
+        object.__setattr__(self, "case_tag", case_tag)
+        object.__setattr__(self, "letter", letter)
+
     @property
     def matrix(self) -> TransitionMatrix:
         """The step's transition matrix I + e_{winner,loser}, built on access."""

@@ -686,7 +686,7 @@ def _random_fiet(rng: random.Random) -> Fiet:
             continue
         flips = frozenset(k for k in range(1, n + 1) if rng.random() < 0.5)
         lengths = tuple(
-            Fraction(rng.randint(1, 60), rng.randint(1, 30)) for _ in range(n)
+            [Fraction(rng.randint(1, 60), rng.randint(1, 30)) for _ in range(n)]
         )
         f = Fiet(FietCombinatorics(n, tuple(pi0), tuple(pi1), flips), lengths)
         if f.length_of(pi0[-1]) != f.length_of(pi1[-1]):

@@ -664,6 +664,20 @@ class TestRecord:
         with pytest.raises(TypeError):
             cls(*args)
 
+    def test_step_outcome_binds_as_a_signature(self):
+        values = (FLIPPY.comb, 1, 2, "a1", "a")
+        kwargs = dict(zip(StepOutcome._fields, values))
+        assert StepOutcome(*values) == StepOutcome(**kwargs) == StepOutcome(
+            FLIPPY.comb, 1, loser=2, case_tag="a1", letter="a")
+        for args, extra, message in [
+            (values[:4], {}, "missing 1 required positional argument: 'letter'"),
+            (values, {"weight": 1}, "unexpected keyword argument 'weight'"),
+            (values, {"winner": 1}, "multiple values for argument 'winner'"),
+            ((*values, 9), {}, "positional arguments"),
+        ]:
+            with pytest.raises(TypeError, match=message):
+                StepOutcome(*args, **extra)
+
     @pytest.mark.parametrize("record", [REC, FLIPPY, FLIPPY.comb, PathParameters(2, 3, 4, 3, 2),
                                         ParameterSchedule.relaxed()],
                              ids=lambda r: type(r).__name__)

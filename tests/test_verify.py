@@ -1,5 +1,10 @@
 """Tests for the inequality suites, towers, separation, and simulation."""
 
+import os
+import platform
+import random
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -7,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fiet
 from conftest import subtractive_steps
 from fiet import (
     Fiet,
@@ -36,7 +42,7 @@ from fiet import (
     tower_vectors,
     verify_all,
 )
-from fiet.verify import BURN_IN_LEVELS
+from fiet.verify import BURN_IN_LEVELS, _random_fiet
 
 UNIFORM = tuple(Fraction(1, 8) for _ in range(8))
 E2 = tuple(Fraction(1 if k == 2 else 0) for k in range(1, 9))
@@ -535,6 +541,47 @@ class TestOracleCrosscheck:
 
     def test_seed_reproducibility(self):
         assert oracle_crosscheck(25, seed=7) == oracle_crosscheck(25, seed=7)
+
+    def test_seed_draws_the_same_fiets(self):
+        # Which maps a seed checks is part of its meaning: a rewrite of
+        # _random_fiet must draw from the generator in the same order.
+        rng = random.Random(1)
+        drawn = [_random_fiet(rng) for _ in range(3)]
+        assert drawn == [
+            Fiet(FietCombinatorics(3, (2, 1, 3), (3, 1, 2), {1, 2}),
+                 (Fraction(51, 7), Fraction(7, 16), Fraction(2, 29))),
+            Fiet(FietCombinatorics(8, (3, 6, 2, 8, 1, 5, 4, 7), (8, 4, 7, 5, 6, 1, 3, 2),
+                                   {2, 3, 4, 5, 6, 7, 8}),
+                 (Fraction(5, 4), Fraction(15, 22), Fraction(3, 5), Fraction(3),
+                  Fraction(60), Fraction(1), Fraction(59, 18), Fraction(20, 7))),
+            Fiet(FietCombinatorics(2, (2, 1), (1, 2), {1, 2}),
+                 (Fraction(47, 23), Fraction(11, 10))),
+        ]
+
+    @pytest.mark.skipif(platform.python_implementation() != "CPython"
+                        or sys.getallocatedblocks() == 0,
+                        reason="needs CPython's small-object allocator")
+    def test_allocated_blocks_stay_flat(self):
+        # A tuple built from a generator is allocated at ten slots and
+        # shrunk; when it dies it goes onto the free list of its final
+        # length, which only exact-size allocations draw from.  2,500 trials
+        # of such tuples filled those lists by about 13,000 blocks.  A fresh
+        # interpreter keeps this suite's own free lists out of the count.
+        code = (
+            "import sys\n"
+            "from fiet.verify import oracle_crosscheck\n"
+            "oracle_crosscheck(50, 0)\n"
+            "before = sys.getallocatedblocks()\n"
+            "assert oracle_crosscheck(2500, 1)['passes'] == 2500\n"
+            "print(sys.getallocatedblocks() - before)\n"
+        )
+        src = os.path.dirname(os.path.dirname(fiet.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        done = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout) < 1000
 
 
 class TestSubtractiveSteps:
