@@ -10,13 +10,13 @@ All arithmetic is exact.  Lengths and points are ``fractions.Fraction`` at
 the API boundary only: :func:`evaluate`, :func:`iterate`,
 :func:`first_return` and :func:`fiet.verify.birkhoff_frequencies` share one
 map compiled into integer tiles at a common scale (``_Tiles``).  Orbits are
-stepped by one walk, :func:`_walk`, which crosses translation runs in
-closed form; ``first_return`` pushes intervals through the tiles on its own,
-as the independent oracle of induction.  Domain subintervals are
-closed on the left and open on the right.  For a flipped label the left
-endpoint of its domain subinterval has no image under this convention; it is
-declared a discontinuity and orbits reaching it terminate with
-:class:`OrbitTerminated`.
+stepped by one walk, :func:`_walk`, which crosses translation runs, and
+the runs nested in their windows, in closed form; ``first_return`` pushes
+intervals through the tiles on its own, as the independent oracle of
+induction.  Domain subintervals are closed on the left and open on the
+right.  For a flipped label the left endpoint of its domain subinterval has
+no image under this convention; it is declared a discontinuity and orbits
+reaching it terminate with :class:`OrbitTerminated`.
 
 Every value type of the package (an FIET, a path, a matrix, a report) is an
 immutable :class:`Record`, and :func:`replace` copies one with some fields
@@ -31,6 +31,8 @@ from functools import lru_cache
 from math import lcm
 from operator import attrgetter
 from typing import Iterable, Sequence
+
+from .window import crossed, segments, write
 
 _set = object.__setattr__
 
@@ -361,12 +363,16 @@ def _walk(
     so the orbit point at step t + (m - 1)*p + i is y_i + e_i*m*delta for m
     = 1..K, where K is the largest number of windows whose points all meet
     that condition.  Each progression y_i + e_i*m*delta is monotone in m,
-    so its last term decides: K is the least of p floor divisions, capped
-    so that the horizon is not crossed.  When delta = 0 the orbit is
-    periodic whatever the orientation, and K runs to the horizon.  The jump
-    adds K to the count of each window label, writes each progression into
-    the per-cell extremes one non-empty cell at a time, in closed form (so
-    term by term when its terms lie a cell or more apart), and moves t by
+    so its last term decides, capped so that the horizon is not crossed.
+    When delta = 0 the orbit is periodic whatever the orientation, and K
+    runs to the horizon.  The window itself is walked by segments
+    (:func:`fiet.window.segments`): a segment is one step or an inner run
+    of the window, found and crossed by this same rule, to any depth, so
+    the jump's cost grows with the runs in its window, not with p.  An
+    inner run's steps are boxes of points, monotone in m too, so each
+    segment's extreme point bounds K.  The jump adds K windows to the
+    counts, writes each segment's box over the K windows into the per-cell
+    extremes in closed form (:func:`fiet.window.write`), and moves t by
     K*p and x by K*delta.  Each jump certifies a translation cylinder of
     the map: an interval on which T^p is the translation by delta.
     """
@@ -426,54 +432,18 @@ def _jump(tiles, cuts, y, x, p, left, counts, lo, hi, s) -> int:
     ``y`` is the orbit's point p steps before ``x`` and ``left`` the number
     of steps before the horizon.  Returns 0, and changes nothing, unless
     at least one whole window fits (see :func:`_walk`).  The window is
-    walked twice, to find K and then to write it, so that no orbit
-    stretch is held in memory.
+    walked twice by :func:`fiet.window.segments`, to find K and then to
+    write it, so that no orbit stretch is held in memory; each segment,
+    a step or an inner run, gains the K windows as one more dimension.
     """
-    k = left // p
-    if not k:
-        return 0
     delta = x - y
-    flips = 0
-    for _, u, lam, flipped, z, d in _window(tiles, cuts, y, delta, p):
-        if d > 0:
-            k = min(k, (u + lam - 1 - z) // d)
-        elif d < 0:
-            k = min(k, (z - u - flipped) // -d)
-        flips += flipped
-    if (flips & 1 and delta) or not k:
-        return 0
-    for label, _, _, _, z, d in _window(tiles, cuts, y, delta, p):
-        counts[label - 1] += k
-        if not d:
-            continue
-        # The K terms z + m*d, m = 1..K, from the smallest v to the largest
-        # b, one non-empty cell at a time: w is the cell's last term.
-        step = abs(d)
-        v = min(z + d, z + k * d)
-        b = v + (k - 1) * step
-        while v <= b:
-            cell = v >> s
-            w = min(b, v + ((((cell + 1) << s) - 1 - v) // step) * step)
-            if v < lo[cell]:
-                lo[cell] = v
-            if w > hi[cell]:
-                hi[cell] = w
-            v = w + step
+    k = crossed(tiles, cuts, y, delta, p, left // p)
+    if k:
+        for tile, z, e, _, _, n, dims in segments(tiles, cuts, y, p):
+            counts[tile[0] - 1] += k * n
+            d = e * delta
+            write(lo, hi, s, z + d, (*dims, (d, k)))
     return k
-
-
-def _window(tiles, cuts, y, delta, p):
-    """The p steps of the orbit from y: for each, its tile's label, left
-    end, length and flip, its point, and its progression step e*delta,
-    where e is the orientation of the steps before it."""
-    e = 1
-    for _ in range(p):
-        label, u, lam, c, flipped = tiles[bisect_right(cuts, y) - 1]
-        yield label, u, lam, flipped, y, e * delta
-        if flipped:
-            y, e = c - y, -e
-        else:
-            y = c + y
 
 
 def _check_point(f: Fiet, x) -> Fraction:

@@ -591,8 +591,9 @@ def birkhoff_frequencies(
     closed form (see :func:`fiet.core._walk`): the run's points are arithmetic
     progressions, monotone, so each is kept inside its tile, and off a
     flipped tile's left end, by its last term; a periodic orbit (delta =
-    0) jumps straight to its horizon.  Counts and ``max_gap`` stay exact,
-    and the cost grows with the number of runs, not of steps.
+    0) jumps straight to its horizon.  A run's window is walked by its own
+    inner runs, to any depth.  Counts and ``max_gap`` stay exact, and the
+    cost grows with the number of runs, not of steps.
     """
     if isinstance(horizons, int):
         horizons = (horizons,)

@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import combinatorics_st, fiets_st, steppable_fiets_st
-from fiet import core, verify
+from fiet import core, verify, window
 from fiet.core import Record, _Tiles, replace
 from fiet import (
     DomainError,
@@ -28,6 +28,7 @@ from fiet import (
     TransitionMatrix,
     base_datum,
     birkhoff_frequencies,
+    cycle_states,
     domain_partition,
     evaluate,
     first_return,
@@ -37,6 +38,7 @@ from fiet import (
     midpoint_starts,
     range_partition,
     rauzy_step,
+    theta_copy,
 )
 
 
@@ -450,6 +452,155 @@ class TestJumpAhead:
         rep = check_birkhoff(f, F(1, 2), (5000, 10001, 12000))
         assert rep.results[-1].max_gap == 1 < f.total_length / 4096
         assert jumps
+
+
+def check_walk(f, start, horizons, s):
+    """The rows of ``core._walk`` from ``start`` on cells of width 2**s
+    against the step-by-step reference: steps done, counts, end point and
+    the largest gap between the per-cell extremes of the visited points."""
+    horizons = tuple(sorted(set(horizons)))
+    kernel = _Tiles(f, (start,))
+    rows = core._walk(kernel, int(start * kernel.scale), horizons, s)
+    xs, labels = reference_orbit(f, start, horizons[-1])
+    for h, (done, counts, gap, x) in zip(horizons, rows):
+        assert done == min(h, len(labels))
+        assert counts == label_counts(f, labels[:done])
+        assert x == xs[done] * kernel.scale
+        cells = {}
+        for v in xs[: max(done, 1)]:
+            v = int(v * kernel.scale)
+            lo, hi = cells.get(v >> s, (v, v))
+            cells[v >> s] = (min(lo, v), max(hi, v))
+        want = prev = 0
+        for cell in sorted(cells):
+            want = max(want, cells[cell][0] - prev)
+            prev = cells[cell][1]
+        assert gap == max(want, kernel.L - prev)
+
+
+@st.composite
+def nested_fiet_and_start_st(draw):
+    """An FIET with lengths k/q, q up to 997, a start j/(2q) and a grid
+    width 2**s: long periods whose jump windows hold inner runs."""
+    c = draw(combinatorics_st(min_n=2, max_n=6))
+    q = draw(st.sampled_from((1, 2, 3, 7, 60, 997)))
+    f = Fiet(c, tuple(F(draw(st.integers(1, 40 * q)), q) for _ in range(c.n)))
+    start = F(draw(st.integers(0, int(f.total_length * 2 * q) - 1)), 2 * q)
+    s = draw(st.integers(0, _Tiles(f, (start,)).L.bit_length()))
+    return f, start, s
+
+
+# f maps [0, 2/3) by +7/2 and [2/3, 25/6) by -2/3.  From 19/6 the orbit
+# steps down tile 2 five or six times between visits to tile 1, so its
+# jump windows (p = 6, delta = 1/6) each hold a run of tile-2 steps.
+NESTED_SWAP = swap(fs(), (F(2, 3), F(7, 2)))
+
+
+class TestNestedRuns:
+    """A jump window is walked by segments, each a step or an inner run
+    crossed in closed form; every row must still equal the step-by-step
+    reference."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        nested_fiet_and_start_st(),
+        st.lists(st.integers(1, 20000), min_size=1, max_size=3),
+    )
+    @example((NESTED_SWAP, F(19, 6), 2), [50, 300, 2000])
+    def test_walk_against_the_reference(self, fxs, horizons):
+        f, start, s = fxs
+        check_walk(f, start, horizons, s)
+
+    @pytest.mark.parametrize("s", [0, 2, 4, 6])
+    def test_jump_window_with_an_inner_run(self, monkeypatch, s):
+        # The jump writes each inner run as one box of two dimensions: the
+        # run's own steps (-2/3, scaled -8) and the windows crossed (+1/6).
+        boxes = []
+        write = core.write
+
+        def record(lo, hi, width, z, dims):
+            boxes.append(dims)
+            write(lo, hi, width, z, dims)
+
+        monkeypatch.setattr(core, "write", record)
+        check_walk(NESTED_SWAP, F(19, 6), (50, 300, 2000), s)
+        assert ((-8, 3), (2, 2)) in boxes
+
+    @settings(max_examples=40, deadline=None)
+    @given(nested_fiet_and_start_st(), st.integers(1, 3000))
+    def test_segments_are_the_window(self, fxs, p):
+        # Every point of every segment's box, with its tile's label and its
+        # orientation, is one step of the orbit, and there are p of them.
+        f, start, _ = fxs
+        xs, labels = reference_orbit(f, start, p)
+        assume(len(labels) == p)
+        kernel = _Tiles(f, (start,))
+        want, e = [], 1
+        for x, label in zip(xs, labels):
+            want.append((int(x * kernel.scale), label, e))
+            e = -e if label in f.comb.flips else e
+        got = []
+        for tile, z, orientation, a, b, n, dims in window.segments(
+            kernel.tiles, kernel.cuts, int(start * kernel.scale), p
+        ):
+            points = [z]
+            for D, r in dims:
+                points = [v + i * D for v in points for i in range(r)]
+            assert (len(points), min(points), max(points)) == (n, a, b)
+            got += [(v, tile[0], orientation) for v in points]
+        assert sorted(got) == sorted(want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(-40, 40), st.integers(1, 12)), max_size=3),
+        st.integers(0, 7),
+    )
+    def test_write_keeps_the_extremes_of_every_point(self, dims, s):
+        points = [0]
+        for D, r in dims:
+            points = [v + i * D for v in points for i in range(r)]
+        z = -min(points)
+        size = ((max(points) + z) >> s) + 1
+        lo, hi = [size << s] * size, [-1] * size
+        want_lo, want_hi = lo[:], hi[:]
+        window.write(lo, hi, s, z, tuple(dims))
+        for v in points:
+            cell = (v + z) >> s
+            want_lo[cell] = min(want_lo[cell], v + z)
+            want_hi[cell] = max(want_hi[cell], v + z)
+        assert (lo, hi) == (want_lo, want_hi)
+
+
+def solve_exactly(rows, b):
+    """x with rows . x = b, by Gauss-Jordan elimination on Fractions."""
+    n = len(b)
+    a = [[F(v) for v in row] + [F(w)] for row, w in zip(rows, b)]
+    for c in range(n):
+        pivot = next(r for r in range(c, n) if a[r][c])
+        a[c], a[pivot] = a[pivot], a[c]
+        for r in range(n):
+            if r != c and a[r][c]:
+                m = a[r][c] / a[c][c]
+                a[r] = [v - m * w for v, w in zip(a[r], a[c])]
+    return tuple(a[i][n] / a[i][i] for i in range(n))
+
+
+class TestTowerCertificate:
+    def test_copy_one_columns_on_the_map(self):
+        # Over one copy-1 return, the Birkhoff sum of an orbit from F1's
+        # tile i is column i of theta_1, and it ends at F1's image: the
+        # first copy's tower, checked on the map itself (heights 1e5-2e9).
+        relaxed = ParameterSchedule.relaxed()
+        alpha = limit_vectors(relaxed, 1, "computed").alpha
+        theta = theta_copy(relaxed, 1, "computed")
+        f1 = Fiet(cycle_states()[1], solve_exactly(theta.rows, alpha))
+        f = Fiet(base_datum(), alpha)
+        for label, lo, hi in domain_partition(f1):
+            column = tuple(row[label - 1] for row in theta.rows)
+            for x in ((lo + hi) / 2, lo + (hi - lo) / 3):
+                pt = iterate(f, x, sum(column))
+                assert pt.visit_counts == column
+                assert pt.position == evaluate(f1, x)
 
 
 class TestFirstReturn:
