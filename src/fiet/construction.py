@@ -362,8 +362,20 @@ def l1_distance(u: Sequence, v: Sequence) -> Fraction:
 
 
 def l1_cross(u: Sequence[int], su: int, v: Sequence[int], sv: int) -> int:
-    """The L1 distance of u/su and v/sv, times su*sv (integers, su, sv > 0)."""
-    return sum(abs(a * sv - b * su) for a, b in zip(u, v))
+    """The L1 distance of u/su and v/sv, times su*sv (integers, su, sv > 0).
+
+    It is sv * sum(+-a) - su * sum(+-b), each sign that of a*sv - b*su as
+    plain ints, so for integers that carry a decimal twin
+    (:class:`fiet.twins.Twin`) only two twin products are taken.
+    """
+    isu, isv = int(su), int(sv)
+    pu = pv = 0
+    for a, b in zip(u, v):
+        if int(a) * isv >= int(b) * isu:
+            pu, pv = pu + a, pv + b
+        else:
+            pu, pv = pu - a, pv - b
+    return pu * sv - pv * su
 
 
 class LimitReport(Record):

@@ -18,7 +18,8 @@ from typing import Callable, Iterator, Optional, Sequence, TextIO
 from .core import Fiet, FietCombinatorics, exact_int
 from .construction import NAMED_SCHEDULES, LimitReport, ParameterSchedule
 from .induction import StepOutcome, TransitionMatrix
-from .verify import FrequencyReport, InequalityRecord, LevelRecords
+from .orbits import FrequencyReport
+from .verify import InequalityRecord, LevelRecords
 
 
 # The interpreter's int/str conversion digit limit; 0 means none.  Python
@@ -56,9 +57,22 @@ def str_to_int(s: str) -> int:
     return str_to_int(s[:-k]) * 10**k + str_to_int(s[-k:])
 
 
+_NO_TWINS = (None, None)
+
+
+def _digits(n: int, twin) -> str:
+    """Decimal text of n: its twin's, if it has one, else :func:`int_to_str`'s."""
+    return int_to_str(n) if twin is None else str(twin)
+
+
 def format_fraction(q: Fraction) -> str:
-    q = Fraction(q)
-    return f"{int_to_str(q.numerator)}/{int_to_str(q.denominator)}"
+    """The text "num/den" of q; a :class:`~fiet.twins.TwinFraction` gives
+    its twins' digits."""
+    if not isinstance(q, Fraction):
+        q = Fraction(q)
+    num, den = map(_digits, (q.numerator, q.denominator),
+                   getattr(q, "twins", _NO_TWINS))
+    return f"{num}/{den}"
 
 
 def parse_fraction(s: str) -> Fraction:
@@ -84,7 +98,7 @@ def fraction_to_decimal(q: Fraction, precision: int = 12) -> str:
 
 
 def vector_to_strs(vec: Sequence) -> list[str]:
-    return [format_fraction(Fraction(v)) for v in vec]
+    return [format_fraction(v) for v in vec]
 
 
 def comb_to_dict(c: FietCombinatorics) -> dict:
@@ -212,14 +226,18 @@ def _cached_format_fraction() -> Callable[[Fraction], str]:
     A level's records repeat their integers (the level's total is the
     denominator of most of its values), so one of these serves one list,
     or one level of a :class:`~fiet.verify.LevelRecords`: a level's digits
-    are dropped when the next level begins.
+    are dropped when the next level begins.  A tower record's values are
+    :class:`~fiet.twins.TwinFraction` values, whose digits come from their
+    decimal twins in linear time; only an integer without a twin is
+    converted by :func:`int_to_str`.
     """
     digits: dict[int, str] = {}
 
     def fraction(q: Fraction) -> str:
-        for n in (q.numerator, q.denominator):
+        for n, twin in zip((q.numerator, q.denominator),
+                           getattr(q, "twins", _NO_TWINS)):
             if n not in digits:
-                digits[n] = int_to_str(n)
+                digits[n] = _digits(n, twin)
         return f"{digits[q.numerator]}/{digits[q.denominator]}"
 
     return fraction
@@ -242,10 +260,13 @@ class Deferred:
 
 def json_default(o):
     """The ``default`` hook with which ``json.dumps`` writes what
-    :func:`dump_json` writes: a :class:`Deferred` as its record list and an
+    :func:`dump_json` writes: a :class:`Deferred` or a
+    :class:`~fiet.verify.LevelRecords` as its record list and an
     :class:`InequalityRecord` as its :func:`record_to_dict` dict."""
     if isinstance(o, Deferred):
         return o.records()
+    if isinstance(o, LevelRecords):
+        return list(o)
     if isinstance(o, InequalityRecord):
         return record_to_dict(o)
     raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
@@ -415,7 +436,7 @@ def _json_pieces(o, indent: str, fraction: Callable[[Fraction], str]) -> Iterato
             yield from _json_pieces(value, inner, fraction)
             separator = ",\n" + inner
         yield "\n" + indent + "}"
-    elif isinstance(o, (list, tuple)):
+    elif isinstance(o, (list, tuple, LevelRecords)):
         if not o:
             yield "[]"
             return

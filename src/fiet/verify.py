@@ -1,4 +1,4 @@
-"""Machine verification: inequality suites, towers, separations, simulation.
+"""Machine verification: inequality suites, towers and separations.
 
 The invariant-measure argument rests on four groups of coordinate
 inequalities (here ``L1`` .. ``L4``) about normalized vectors produced by the
@@ -7,7 +7,9 @@ directions are distinct.  Every check is exact and never rounds.  A level
 vector is carried as integers w with total S = sum(w), and each record side
 is an integer linear form in w read over S, or a constant; a record holds
 by the sign of a cross-multiplied integer, and its sides and margin become
-``Fraction`` values only for the report.
+``Fraction`` values only for the report.  Each level vector is also carried
+as an exact decimal twin (:mod:`fiet.twins`), from which the report takes
+the digits of those values.
 
 Tower convention: with J = 3m copies scheduled, the level-j vector is the
 normalized image of the seed basis vector under the copy matrices j..J
@@ -20,40 +22,36 @@ with A_j = M0(p_j) P (see :mod:`fiet.construction`).
 
 from __future__ import annotations
 
-import random
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
-from .core import (
-    Fiet,
-    FietCombinatorics,
-    Record,
-    _Tiles,
-    _walk,
-    domain_partition,
-    exact_int,
-    first_return,
-)
-from .induction import KeaneViolation, TransitionMatrix, rauzy_step
+from .core import Record, _set
+from .induction import TransitionMatrix
 from .construction import (
     COPIES_PER_BLOCK,
     N_LABELS,
     ParameterSchedule,
     PathParameters,
-    ResourceLimitError,
     integer_coordinates,
     l1_cross,
-    l1_distance,
     matrix_fidelity_report,
-    normalize,
     reference_column_sums,
     theta_copy,
 )
+# The orbit statistics and the oracle cross-check, importable from here too.
+from .orbits import (  # noqa: F401
+    FrequencyReport,
+    StartResult,
+    _random_fiet,
+    birkhoff_frequencies,
+    frequency_l1_gaps,
+    midpoint_starts,
+    oracle_crosscheck,
+)
+from .twins import Twin, fraction, twin_vector, with_twins, mat_vec as decimal_mat_vec
 
 BURN_IN_LEVELS = 2  # levels J-1, J are finite-seed start-up artifacts
-GAP_CELLS_LOG2 = 12  # birkhoff_frequencies' max_gap grid starts with ~4096 cells
-MAX_GAP_CELLS = 1 << 20  # a finer one past ~1M cells: ~0.5 GiB at 1734-bit L
 
 
 class InequalityRecord(Record):
@@ -71,18 +69,62 @@ class InequalityRecord(Record):
     holds: bool
     strict: bool = True
 
+    def __init__(self, lemma_id: str, item: str, lhs: Fraction, rhs: Fraction,
+                 margin: Fraction, holds: bool, strict: bool = True) -> None:
+        # A report builds thousands, so each field is stored directly
+        # rather than bound through the generic constructor.
+        _set(self, "lemma_id", lemma_id)
+        _set(self, "item", item)
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
+        _set(self, "margin", margin)
+        _set(self, "holds", holds)
+        _set(self, "strict", strict)
 
-class LevelRecords(list):
-    """Records of several levels in one list; ``starts`` holds the index at
-    which each level's records begin, so a writer can work level by level."""
+
+class LevelRecords(Sequence):
+    """Records of several levels in one sequence, read level by level.
+
+    A level is added as its records, or as a callable that builds them
+    each time the level is read, with their number.  So a long list of
+    failing records is never held: iterating builds one level at a time.
+    ``starts`` holds the index at which each level's records begin, so a
+    writer can work level by level.  It is equal to a list of the same
+    records.
+    """
 
     def __init__(self, records=()) -> None:
-        super().__init__(records)
+        self._levels: list = []
+        self._len = 0
         self.starts = {0}
+        self.add_level(records)
 
-    def add_level(self, records) -> None:
-        self.starts.add(len(self))
-        self.extend(records)
+    def add_level(self, records, count: Optional[int] = None) -> None:
+        """Append a level: its records, or, with ``count``, a callable
+        that builds that many."""
+        if count is None:
+            records = list(records)
+            count = len(records)
+        self.starts.add(self._len)
+        self._levels.append(records)
+        self._len += count
+
+    def __iter__(self):
+        for records in self._levels:
+            yield from records() if callable(records) else records
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, index):
+        return list(self)[index]
+
+    def __eq__(self, other):
+        if isinstance(other, (list, LevelRecords)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
 
 
 class _Records:
@@ -98,6 +140,11 @@ class _Records:
     constant is lhs - rhs, whose gcds (Knuth, TAOCP 2, 4.5.1) run on the
     constant's small denominator, not on level-sized numbers; over one
     denominator Fraction(num, den) takes one big gcd, subtraction two.
+
+    When the int sides and ``den`` are :class:`~fiet.twins.Twin` values, so
+    is the cross-multiplied difference, and every value read over them is a
+    :class:`~fiet.twins.TwinFraction` that carries the decimal digits of its
+    terms.
     """
 
     def __init__(self, den: int, build: bool = True) -> None:
@@ -109,7 +156,7 @@ class _Records:
         q = self._values.get((num, den))
         if q is None:
             # An integer needs no gcd.
-            q = Fraction(num) if den == 1 else Fraction(num, den)
+            q = Fraction(num) if den == 1 else fraction(num, den)
             self._values[num, den] = q
         return q
 
@@ -117,7 +164,7 @@ class _Records:
         return side if isinstance(side, Fraction) else self._fraction(num, den)
 
     def _side(self, side) -> tuple[int, int]:
-        if type(side) is int:
+        if isinstance(side, int):
             return side, self.den
         if type(side) is tuple:
             return side
@@ -132,7 +179,12 @@ class _Records:
         if not self.build:
             return holds
         lq, rq = self._value(lhs, ln, ld), self._value(rhs, rn, rd)
-        margin = self._fraction(num, ld) if same else lq - rq
+        if same:
+            margin = self._fraction(num, ld)
+        else:
+            margin = lq - rq
+            if type(num) is Twin:
+                margin = with_twins(margin, num, ld * rd)
         return InequalityRecord(lemma_id, item, lq, rq, margin, holds, strict)
 
 
@@ -289,20 +341,21 @@ def _lemma4(x, b, t, build):
     return records
 
 
-def _tower(matrices: Sequence[TransitionMatrix], seed: int):
-    """The integer tower recursion, from the seed level down to level 1.
+def _tower(matrices: Sequence[TransitionMatrix], seed: int, decimal: bool = False):
+    """The tower recursion, from the seed level down to level 1.
 
-    Yields ``(j, w_j, S_j)`` for j = J+1 .. 1, where J = len(matrices),
-    w_(J+1) is basis vector ``seed``, w_j = M_j * w_(j+1) with M_j =
-    ``matrices[j - 1]``, and S_j = sum(w_j) > 0.
+    Yields ``(j, w_j)`` for j = J+1 .. 1, where J = len(matrices), w_(J+1)
+    is basis vector ``seed`` and w_j = M_j * w_(j+1) with M_j =
+    ``matrices[j - 1]``.  With ``decimal``, each w_j is its exact decimal
+    twin instead, made by the same products (see :mod:`fiet.twins`).
     """
     w = tuple(int(k == seed) for k in range(1, N_LABELS + 1))
     j = len(matrices) + 1
-    yield j, w, 1
+    yield j, w
     for matrix in reversed(matrices):
         j -= 1
-        w = matrix.mat_vec(w)
-        yield j, w, sum(w)
+        w = decimal_mat_vec(matrix.rows, w) if decimal else matrix.mat_vec(w)
+        yield j, w
 
 
 def tower_vectors(
@@ -324,10 +377,14 @@ def tower_vectors(
     if copies < 1:
         raise ValueError("copies must be >= 1")
     matrices = [theta_copy(schedule, j, family) for j in range(1, copies + 1)]
-    return {
-        j: tuple(Fraction(e, total) for e in w)
-        for j, w, total in _tower(matrices, seed)
-    }
+    return {j: _normalized(w) for j, w in _tower(matrices, seed)}
+
+
+def _normalized(w: Sequence[int]) -> tuple[Fraction, ...]:
+    """w / sum(w) for non-negative ints w, not all zero; twins give twin
+    fractions."""
+    s = sum(w)
+    return tuple(fraction(e, s) for e in w)
 
 
 def checked_levels(m: int) -> tuple[int, ...]:
@@ -340,20 +397,27 @@ def checked_levels(m: int) -> tuple[int, ...]:
 class TowerRecords(Mapping):
     """One tower's inequality records by level, built each time a level is read.
 
-    Only the integer level vectors are held (``vectors``, level -> w).
-    ``check(j, w)`` builds level j's records and ``verdicts(j, w)`` says
-    whether each of them holds, in the same order, on integers alone.  So a
-    report that is written level by level holds one level's records at a
-    time.
+    Only the level vectors are held: ``vectors`` (level -> w, integers) and
+    ``twins`` (level -> the decimal twin of w).  ``level(j)`` is level j's
+    vector of :class:`~fiet.twins.Twin` values, from which ``check`` builds
+    its records, so their values carry their digits; ``verdicts(j, w)``
+    says whether each of them holds, in the same order, on the integers
+    alone.  So a report that is written level by level holds one level's
+    records at a time.
     """
 
-    def __init__(self, vectors: dict[int, tuple[int, ...]], check, verdicts):
+    def __init__(self, vectors: dict[int, tuple[int, ...]], twins: dict,
+                 check, verdicts):
         self.vectors = vectors
+        self.twins = twins
         self._check = check
         self._verdicts = verdicts
 
+    def level(self, level: int) -> tuple[Twin, ...]:
+        return twin_vector(self.vectors[level], self.twins[level])
+
     def __getitem__(self, level: int) -> list[InequalityRecord]:
-        return self._check(level, self.vectors[level])
+        return self._check(level, self.level(level))
 
     def __iter__(self):
         return iter(self.vectors)
@@ -378,43 +442,42 @@ def lemma_towers(
     each a :class:`TowerRecords` over the checked levels, where the lambda2
     tower carries both its domination (L3) and lower-bound (L4) records,
     and additionally the level-1 vectors under "vectors".  The checks read
-    each level's integer vector w_j directly, as w_j / S_j.
+    each level's integer vector w_j directly, as w_j / S_j, and the same
+    recursion in exact decimal arithmetic gives each w_j's twin.
     """
     levels = checked_levels(m)
     _check_c(c)
     _check_b(b)
     matrices = [theta_copy(schedule, j, family)
                 for j in range(1, COPIES_PER_BLOCK * m + 1)]
-    # The recursion runs from the seed level down; a tower reads upward.
-    t7, t5, t2 = (
-        dict(reversed([(j, w) for j, w, _ in _tower(matrices, seed)
-                       if j in levels]))
-        for seed in (7, 5, 2)
-    )
+
+    def checked(seed: int, decimal: bool) -> dict:
+        # The recursion runs from the seed level down; a tower reads upward.
+        return dict(reversed([(j, w) for j, w in _tower(matrices, seed, decimal)
+                              if j in levels]))
+
     p, d = schedule.params, schedule.d
-    return {
+    towers = {
         "lambda7": TowerRecords(
-            t7,
+            checked(7, False), checked(7, True),
             lambda j, w: check_lemma1(w, p(j), d),
             lambda j, w: _lemma1(w, p(j), d, build=False),
         ),
         "lambda5": TowerRecords(
-            t5,
+            checked(5, False), checked(5, True),
             lambda j, w: check_lemma2(w, p(j)),
             lambda j, w: _lemma2(w, p(j), build=False),
         ),
         "lambda2": TowerRecords(
-            t2,
+            checked(2, False), checked(2, True),
             lambda j, w: check_lemma3(w, c, p(j)) + check_lemma4(w, b, p(j)),
             lambda j, w: (_lemma3(w, c, p(j), build=False)
                           + _lemma4(w, b, p(j), build=False)),
         ),
-        "vectors": {
-            "lambda7": normalize(t7[1]),
-            "lambda5": normalize(t5[1]),
-            "lambda2": normalize(t2[1]),
-        },
     }
+    towers["vectors"] = {key: _normalized(tower.level(1))
+                         for key, tower in towers.items()}
+    return towers
 
 
 def check_separation(
@@ -463,6 +526,11 @@ def check_separation(
     ]
 
 
+def _failing(tower: TowerRecords, level: int):
+    """A callable that builds the failing records of one tower level."""
+    return lambda: [r for r in tower[level] if not r.holds]
+
+
 def verify_all(
     schedule: ParameterSchedule,
     m: int,
@@ -477,7 +545,8 @@ def verify_all(
     inequality record at every checked level (under "towers", one
     :class:`TowerRecords` per tower, which builds a level when it is read),
     the separation records on the level-1 vectors, the count and the list
-    of failing records (a :class:`LevelRecords`, the separation's first),
+    of failing records (a :class:`LevelRecords`, the separation's first,
+    then each tower level's, built when read),
     and (optionally) the matrix fidelity report.  The
     "passed" flag is True iff every record holds AND, when the fidelity
     report is included, the reference-family sum identities hold AND, at
@@ -489,14 +558,15 @@ def verify_all(
     """
     towers = lemma_towers(schedule, m, c, b, family)
     separation = check_separation(
-        towers["lambda2"].vectors[1],
-        towers["lambda5"].vectors[1],
-        towers["lambda7"].vectors[1],
+        towers["lambda2"].level(1),
+        towers["lambda5"].level(1),
+        towers["lambda7"].level(1),
         schedule.params(1),
     )
-    # Every verdict is decided on integers first, and only a level with a
-    # failing record is built here, so the totals and the failing records
-    # are known before any level is written.
+    # Every verdict is decided on integers first, so the totals and the
+    # number of failing records are known before any level is built; a
+    # level with a failing record is built again whenever the failing list
+    # is read, so those records are never held.
     total = len(separation)
     failing = LevelRecords(r for r in separation if not r.holds)
     for key in ("lambda7", "lambda5", "lambda2"):
@@ -505,7 +575,7 @@ def verify_all(
             verdicts = tower.verdicts(level)
             total += len(verdicts)
             if not all(verdicts):
-                failing.add_level(r for r in tower[level] if not r.holds)
+                failing.add_level(_failing(tower, level), verdicts.count(False))
     report = {
         "schedule": schedule,
         "validity": schedule.validity(b),
@@ -526,169 +596,3 @@ def verify_all(
         )
     report["passed"] = not report["records_failing"] and matrix_ok
     return report
-
-
-class StartResult(Record):
-    """Birkhoff statistics of one orbit up to one horizon."""
-
-    start: Fraction
-    horizon: int
-    steps_completed: int
-    terminated_at: Optional[int]
-    frequencies: tuple[Fraction, ...]
-    max_gap: Fraction
-
-
-class FrequencyReport(Record):
-    """Visit frequencies for several starts and horizons on one FIET."""
-
-    start_points: tuple[Fraction, ...]
-    horizons: tuple[int, ...]
-    results: tuple[StartResult, ...]
-
-
-def midpoint_starts(f: Fiet) -> tuple[Fraction, ...]:
-    """Midpoints of the domain subintervals — generic starting points."""
-    return tuple((lo + hi) / 2 for _, lo, hi in domain_partition(f))
-
-
-def birkhoff_frequencies(
-    f: Fiet, starts: Sequence, horizons
-) -> FrequencyReport:
-    """Exact visit frequencies of finite orbits.
-
-    For each start and horizon: the fraction of the first ``horizon`` orbit
-    points lying in each labeled subinterval (exact rationals summing to 1),
-    the largest gap the visited points leave in [0, L) (a density
-    diagnostic), and — if the orbit hits a point where the map is undefined —
-    the step index at which it terminated, with frequencies over the steps
-    actually completed.  A terminating start affects only its own rows.  The
-    visited points of a row are x_0 .. x_{done-1}, or x_0 alone when the
-    orbit terminates at step 0.
-
-    Arithmetic is pure integer: the map's tiles are scaled by twice the
-    common denominator of the lengths and starts, so flips stay exact and
-    comparisons are machine integers whenever the data is small.
-
-    ``max_gap`` is exact but the orbit is not stored: the walk keeps only
-    the smallest and largest visited point of each cell ``x >> s`` of a
-    grid of width ``2**s`` (about ``2**GAP_CELLS_LOG2`` cells at first).
-    The gaps between consecutive non-empty cells — from 0 to the first
-    minimum, from each maximum to the next minimum, from the last maximum
-    to L — are gaps between consecutive visited points, and every other gap
-    lies inside one cell and is shorter than ``2**s``.  So the largest of
-    them is the exact ``max_gap`` whenever it is at least ``2**s``.
-    Otherwise the start is walked again on a finer grid.  Its p points cut
-    [0, L) into p + 1 gaps summing to L, so by pigeonhole ``max_gap >=
-    L // (p + 1)``, and ``max_gap`` is at least the coarse largest gap too.
-    The finer width is the largest power of two not above either bound, so
-    the second walk is exact; its grid has at most about 2 (p + 1) cells,
-    and one over ``MAX_GAP_CELLS`` raises :class:`ResourceLimitError`.
-
-    At rational lengths every orbit is eventually periodic, and it spends
-    most of its steps in translation runs, where its last p steps repeat
-    as one translation T^p(y) = y + delta.  The walk crosses each run in
-    closed form (see :func:`fiet.core._walk`): the run's points are arithmetic
-    progressions, monotone, so each is kept inside its tile, and off a
-    flipped tile's left end, by its last term; a periodic orbit (delta =
-    0) jumps straight to its horizon.  A run's window is walked by its own
-    inner runs, to any depth.  Counts and ``max_gap`` stay exact, and the
-    cost grows with the number of runs, not of steps.
-    """
-    if isinstance(horizons, int):
-        horizons = (horizons,)
-    horizons = tuple(exact_int(h, "horizon") for h in horizons)
-    if not horizons or any(h < 1 for h in horizons):
-        raise ValueError("horizons must be positive integers")
-    horizons = tuple(sorted(set(horizons)))
-    starts = tuple(Fraction(s) for s in starts)
-
-    kernel = _Tiles(f, starts)
-    L = kernel.L
-    results = []
-    for start in starts:
-        x = int(start * kernel.scale)
-        if not (0 <= x < L):
-            raise ValueError(f"start {start} outside [0, {f.total_length})")
-        s = max(L.bit_length() - GAP_CELLS_LOG2, 0)
-        rows = _walk(kernel, x, horizons, s)
-        while coarse := [(done, gap) for done, _, gap, _ in rows if gap < 1 << s]:
-            s = min(
-                max(gap, L // (max(done, 1) + 1)).bit_length() - 1
-                for done, gap in coarse
-            )
-            if (cells := ((L - 1) >> s) + 1) > MAX_GAP_CELLS:
-                raise ResourceLimitError(f"max_gap from start {float(start):.9f} needs "
-                                         f"{cells} grid cells (limit {MAX_GAP_CELLS})")
-            rows = _walk(kernel, x, horizons, s)
-        for h, (done, cts, gap, _) in zip(horizons, rows):
-            freqs = tuple(
-                Fraction(ct, done) if done else Fraction(0) for ct in cts
-            )
-            results.append(StartResult(
-                start=start,
-                horizon=h,
-                steps_completed=done,
-                terminated_at=done if done < h else None,
-                frequencies=freqs,
-                max_gap=Fraction(gap, kernel.scale),
-            ))
-    return FrequencyReport(starts, horizons, tuple(results))
-
-
-def frequency_l1_gaps(report: FrequencyReport, horizon: int) -> dict:
-    """Pairwise L1 distances between the frequency vectors at one horizon."""
-    rows = [r for r in report.results if r.horizon == horizon]
-    gaps = {}
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            gaps[(str(rows[i].start), str(rows[j].start))] = l1_distance(
-                rows[i].frequencies, rows[j].frequencies
-            )
-    return gaps
-
-
-def oracle_crosscheck(trials: int, seed: int = 0) -> dict:
-    """Random cross-validation of the induction step against the return map.
-
-    For each trial draws a random FIET (n in 2..8, random rows, random flip
-    set, random exact lengths with distinct rightmost pair), performs one
-    length-driven induction step, and independently computes the first-return
-    map to [0, L - loser_length) geometrically.  The two results must be
-    identical labeled data.
-    """
-    rng = random.Random(seed)
-    failures = []
-    for trial in range(trials):
-        f = _random_fiet(rng)
-        lt = f.length_of(f.comb.pi0[-1])
-        lb = f.length_of(f.comb.pi1[-1])
-        cut = f.total_length - min(lt, lb)
-        stepped, _ = rauzy_step(f)
-        try:
-            returned = first_return(f, cut)
-        except Exception as exc:  # noqa: BLE001 - recorded, not silenced
-            failures.append({"trial": trial, "fiet": f, "error": repr(exc)})
-            continue
-        if stepped != returned:
-            failures.append({"trial": trial, "fiet": f,
-                             "stepped": stepped, "returned": returned})
-    return {"trials": trials, "passes": trials - len(failures), "failures": failures}
-
-
-def _random_fiet(rng: random.Random) -> Fiet:
-    while True:
-        n = rng.randint(2, 8)
-        pi0 = list(range(1, n + 1))
-        pi1 = list(range(1, n + 1))
-        rng.shuffle(pi0)
-        rng.shuffle(pi1)
-        if pi0[-1] == pi1[-1]:
-            continue
-        flips = frozenset(k for k in range(1, n + 1) if rng.random() < 0.5)
-        lengths = tuple(
-            [Fraction(rng.randint(1, 60), rng.randint(1, 30)) for _ in range(n)]
-        )
-        f = Fiet(FietCombinatorics(n, tuple(pi0), tuple(pi1), flips), lengths)
-        if f.length_of(pi0[-1]) != f.length_of(pi1[-1]):
-            return f

@@ -27,7 +27,7 @@ from fiet import (
     limit_vectors,
     rauzy_step,
 )
-from fiet import serialize, verify
+from fiet import orbits, serialize
 from fiet.cli import main
 from fiet.serialize import (
     FREQUENCY_CSV_HEADER,
@@ -428,7 +428,7 @@ class TestSimulate:
 
     def test_max_gap_grid_over_the_limit_exits_2(self, capsys, monkeypatch):
         # Some midpoint orbit of 20000 steps needs a finer max_gap walk.
-        monkeypatch.setattr(verify, "MAX_GAP_CELLS", 1)
+        monkeypatch.setattr(orbits, "MAX_GAP_CELLS", 1)
         code, out, err = run(
             capsys, ["simulate", *self.SMALL_ARGS, "--horizons", "20000"])
         assert (code, out) == (2, "")

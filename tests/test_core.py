@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import combinatorics_st, fiets_st, steppable_fiets_st
-from fiet import core, verify, window
+from fiet import core, orbits, verify, window
 from fiet.core import Record, _Tiles, replace
 from fiet import (
     DomainError,
@@ -296,9 +296,9 @@ class TestKernelAgainstReference:
         # starting grid's; under a limit of that many, it is refused before
         # it allocates, and only the starting grid was walked.
         walks = []
-        walk = verify._walk
-        monkeypatch.setattr(verify, "_walk", lambda *a: walks.append(a) or walk(*a))
-        monkeypatch.setattr(verify, "MAX_GAP_CELLS", 1 << verify.GAP_CELLS_LOG2)
+        walk = orbits._walk
+        monkeypatch.setattr(orbits, "_walk", lambda *a: walks.append(a) or walk(*a))
+        monkeypatch.setattr(orbits, "MAX_GAP_CELLS", 1 << orbits.GAP_CELLS_LOG2)
         with pytest.raises(ResourceLimitError, match="grid cells"):
             birkhoff_frequencies(DENSE_ROTATION, (F(0),), (1000, 20000))
         assert len(walks) == 1
@@ -781,6 +781,17 @@ class TestRecord:
 
     REC = InequalityRecord("L1", "x7 > 1/7", F(1, 3), F(1, 7), F(4, 21), True)
 
+    class Generic(Record):
+        """InequalityRecord's fields, bound by the generic constructor."""
+
+        lemma_id: str
+        item: str
+        lhs: F
+        rhs: F
+        margin: F
+        holds: bool
+        strict: bool = True
+
     def test_positional_keyword_and_default_construction_agree(self):
         values = ("L1", "x7 > 1/7", F(1, 3), F(1, 7), F(4, 21), True)
         fields = ("lemma_id", "item", "lhs", "rhs", "margin", "holds")
@@ -803,7 +814,7 @@ class TestRecord:
     ])
     def test_missing_unknown_or_repeated_field_is_a_type_error(self, args, kwargs, message):
         with pytest.raises(TypeError, match=message):
-            InequalityRecord(*args, **kwargs)
+            self.Generic(*args, **kwargs)
 
     @pytest.mark.parametrize("cls, args", [
         (FietCombinatorics, (2, (1, 2))),
@@ -829,6 +840,23 @@ class TestRecord:
             with pytest.raises(TypeError, match=message):
                 StepOutcome(*args, **extra)
 
+    def test_inequality_record_binds_as_a_signature(self):
+        values = ("L1", "x7 > 1/7", F(1, 3), F(1, 7), F(4, 21), True)
+        kwargs = dict(zip(InequalityRecord._fields, values))
+        assert InequalityRecord(*values) == InequalityRecord(**kwargs) == InequalityRecord(
+            "L1", "x7 > 1/7", F(1, 3), rhs=F(1, 7), margin=F(4, 21), holds=True, strict=True)
+        for args, extra, message in [
+            (values[:5], {}, "missing 1 required positional argument: 'holds'"),
+            (values[:2], {}, "missing 4 required positional arguments"),
+            (values, {"weight": 1}, "unexpected keyword argument 'weight'"),
+            (values, {"item": "y"}, "multiple values for argument 'item'"),
+            ((*values, True, 9), {}, "positional arguments"),
+        ]:
+            with pytest.raises(TypeError, match=message):
+                InequalityRecord(*args, **extra)
+        rec = InequalityRecord(*values)
+        assert rec.strict is True and rec._values == (*values, True)
+
     @pytest.mark.parametrize("record", [REC, FLIPPY, FLIPPY.comb, PathParameters(2, 3, 4, 3, 2),
                                         ParameterSchedule.relaxed()],
                              ids=lambda r: type(r).__name__)
@@ -844,18 +872,9 @@ class TestRecord:
         assert getattr(record, field) is before
 
     def test_unequal_to_a_tuple_or_another_class(self):
-        class Twin(Record):
-            lemma_id: str
-            item: str
-            lhs: F
-            rhs: F
-            margin: F
-            holds: bool
-            strict: bool = True
-
         values = tuple(getattr(self.REC, k) for k in self.REC._fields)
         assert self.REC != values and values != self.REC
-        twin = Twin(*values)
+        twin = self.Generic(*values)
         assert twin != self.REC and self.REC != twin
         assert hash(twin) == hash(self.REC) == hash(values)
         assert OrbitPoint(F(1), (1,)) != (F(1), (1,))
