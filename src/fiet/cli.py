@@ -36,7 +36,14 @@ from .construction import (
     limit_vectors,
 )
 from .core import Fiet, FietError, replace
-from .induction import KeaneViolation, RauzyPath, apply_path, rauzy_step, symbolic_step
+from .induction import (
+    KeaneViolation,
+    RauzyPath,
+    apply_path,
+    apply_step,
+    rauzy_step,
+    symbolic_step,
+)
 from .verify import (
     birkhoff_frequencies,
     check_lemma3,
@@ -162,13 +169,13 @@ def _cmd_step(args) -> int:
         out = symbolic_step(comb, args.letter)
         payload = serialize.step_outcome_to_dict(out)
         if f is not None:
-            lengths = list(f.lengths)
-            lengths[out.winner - 1] -= lengths[out.loser - 1]
-            if lengths[out.winner - 1] <= 0:
+            try:
+                f2 = apply_step(f, out)
+            except ValueError:
                 raise UsageError(
                     "letter contradicts the lengths: winner is not longer"
-                )
-            payload["lengths"] = serialize.vector_to_strs(lengths)
+                ) from None
+            payload["lengths"] = serialize.vector_to_strs(f2.lengths)
     else:
         f2, out = rauzy_step(f)
         payload = serialize.step_outcome_to_dict(out)

@@ -6,9 +6,12 @@ and ``pi1`` in the range; the map sends the subinterval labeled k onto the
 range subinterval labeled k, translating when ``k not in flips`` and
 reflecting when ``k in flips``.
 
-All arithmetic is exact.  Lengths and points are ``fractions.Fraction`` at
-the API boundary only: :func:`evaluate`, :func:`iterate`,
-:func:`first_return` and :func:`fiet.verify.birkhoff_frequencies` share one
+All arithmetic is exact.  A :class:`Fiet` keeps its lengths as positive
+integers over one denominator; a map built from integers makes their
+``Fraction`` values only when they are first read.  Points are
+``fractions.Fraction`` at the API boundary only: :func:`evaluate`,
+:func:`iterate`, :func:`first_return` and
+:func:`fiet.verify.birkhoff_frequencies` share one
 map compiled into integer tiles at a common scale (``_Tiles``).  Orbits are
 stepped by one walk, :func:`_walk`, which crosses translation runs, and
 the runs nested in their windows, in closed form; ``first_return`` pushes
@@ -17,10 +20,6 @@ induction.  Domain subintervals are closed on the left and open on the
 right.  For a flipped label the left endpoint of its domain subinterval has
 no image under this convention; it is declared a discontinuity and orbits
 reaching it terminate with :class:`OrbitTerminated`.
-
-Every value type of the package (an FIET, a path, a matrix, a report) is an
-immutable :class:`Record`, and :func:`replace` copies one with some fields
-changed.
 """
 
 from __future__ import annotations
@@ -28,100 +27,12 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from operator import attrgetter
 from typing import Iterable, Sequence
 
+from .record import Record, _set, replace
 from .window import crossed, segments, write
-
-_set = object.__setattr__
-
-
-class Record:
-    """An immutable record: the fields of a frozen dataclass, without its cost.
-
-    A subclass's fields are its own annotated names, in order, and a
-    class-level value is that field's default.  Records compare equal when
-    they are of one class and their field values are equal, hash as the
-    tuple of those values, and print as ``Name(field=value, ...)``;
-    assigning or deleting an attribute raises ``AttributeError``.
-
-    The generic constructor binds positional and keyword arguments to the
-    fields as a function signature would, stores them and calls
-    :meth:`__post_init__`.  A subclass that normalizes a field, or that is
-    built once per induction step, defines its own ``__init__`` instead,
-    which validates and stores each field once with
-    ``object.__setattr__``.  Nothing is generated or compiled per
-    class, so defining a record costs no more than defining a class.
-    """
-
-    _fields: tuple[str, ...] = ()
-    _defaults: dict = {}
-
-    def __init_subclass__(cls, **kwargs) -> None:
-        super().__init_subclass__(**kwargs)
-        cls._fields = fields = cls.__match_args__ = tuple(cls.__annotations__)
-        cls._defaults = {k: vars(cls)[k] for k in fields if k in vars(cls)}
-        # The tuple of field values, read in C when there are two or more.
-        cls._values = property(attrgetter(*fields) if len(fields) > 1
-                               else lambda r: tuple(getattr(r, k) for k in fields))
-
-    def __init__(self, *args, **kwargs) -> None:
-        fields = self._fields
-        if kwargs or len(args) != len(fields):
-            args = self._bind(args, kwargs)
-        for name, value in zip(fields, args):
-            _set(self, name, value)
-        self.__post_init__()
-
-    @classmethod
-    def _bind(cls, args: tuple, kwargs: dict) -> list:
-        """The field values the arguments give, in field order."""
-        fields, name = cls._fields, f"{cls.__qualname__}.__init__()"
-        if len(args) > len(fields):
-            raise TypeError(f"{name} takes {len(fields) + 1} positional arguments "
-                            f"but {len(args) + 1} were given")
-        values = dict(zip(fields, args))
-        for key, value in kwargs.items():
-            if key not in fields:
-                raise TypeError(f"{name} got an unexpected keyword argument {key!r}")
-            if key in values:
-                raise TypeError(f"{name} got multiple values for argument {key!r}")
-            values[key] = value
-        missing = [k for k in fields if k not in values and k not in cls._defaults]
-        if missing:
-            raise TypeError(f"{name} missing required argument(s) "
-                            + ", ".join(map(repr, missing)))
-        return [values[k] if k in values else cls._defaults[k] for k in fields]
-
-    def __post_init__(self) -> None:
-        """Validate the stored fields; a subclass overrides it."""
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values == other._values
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._values)
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{k}={getattr(self, k)!r}" for k in self._fields)
-        return f"{self.__class__.__qualname__}({fields})"
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-
-def replace(record: Record, **changes) -> Record:
-    """A copy of ``record`` with ``changes``, built by its constructor, so the
-    new values are validated as any others are."""
-    values = {k: getattr(record, k) for k in record._fields}
-    values.update(changes)
-    return type(record)(**values)
 
 
 class FietError(Exception):
@@ -248,25 +159,61 @@ class FietCombinatorics(Record):
 
 
 class Fiet(Record):
-    """A full FIET: combinatorics plus positive exact lengths (indexed by label)."""
+    """A full FIET: combinatorics plus positive exact lengths (indexed by label).
+
+    The lengths are stored once, as positive integers ``nums`` over one
+    positive denominator ``den`` with ``gcd(den, *nums) == 1``, so two maps
+    are equal, and hash alike, exactly when their ``(comb, den, nums)``
+    are.  ``Fiet(comb, lengths)`` takes anything ``Fraction()`` does and
+    keeps the ``Fraction`` values; :meth:`from_integers` makes them on the
+    first read of ``lengths``.
+    """
 
     comb: FietCombinatorics
     lengths: tuple[Fraction, ...]
+    _values = property(attrgetter("comb", "den", "nums"))
 
     def __init__(self, comb: FietCombinatorics, lengths) -> None:
         # A Fraction is already normalized; anything else (a subclass too) is
-        # converted once.  Its denominator is positive, so the sign is the
-        # numerator's.  Tuples built once per object are built from a list,
-        # at their exact size: a tuple built from a generator is allocated
-        # at ten slots and shrunk, so it is never taken from, only added
-        # to, the interpreter's free list of its final length.
-        lengths = tuple([v if type(v) is Fraction else Fraction(v) for v in lengths])
-        if len(lengths) != comb.n:
+        # converted once.  Over the lcm of the reduced denominators the
+        # numerators are already in lowest terms.  Tuples built once per
+        # object are built from a list, at their exact size: a tuple built
+        # from a generator is allocated at ten slots and shrunk, so it is
+        # never taken from, only added to, the interpreter's free list of
+        # its final length.
+        lengths = [v if type(v) is Fraction else Fraction(v) for v in lengths]
+        den = lcm(*[q.denominator for q in lengths])
+        self._store(comb, [q.numerator * (den // q.denominator) for q in lengths], den)
+        _set(self, "lengths", tuple(lengths))
+
+    @classmethod
+    def from_integers(cls, comb: FietCombinatorics, nums, den: int) -> "Fiet":
+        """The FIET whose label k has length ``nums[k - 1] / den``, for
+        integers ``nums`` and ``den``; no ``Fraction`` is made."""
+        f = cls.__new__(cls)
+        f._store(comb, nums, den)
+        return f
+
+    def _store(self, comb: FietCombinatorics, nums, den: int) -> None:
+        """Validate the lengths ``nums / den`` and store them in lowest
+        terms, reduced by one gcd."""
+        if len(nums) != comb.n:
             raise ValueError("lengths must have one entry per label")
-        if any(v.numerator <= 0 for v in lengths):
+        if den <= 0 or min(nums) <= 0:
             raise ValueError("all lengths must be positive")
+        g = gcd(den, *nums)
         _set(self, "comb", comb)
-        _set(self, "lengths", lengths)
+        _set(self, "den", den // g)
+        _set(self, "nums", tuple([v // g for v in nums]))
+
+    def __getattr__(self, name: str):
+        # Called only for a missing attribute: the lengths of a map built
+        # from integers, until they are first read.
+        if name != "lengths":
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        _set(self, name, tuple([Fraction(v, self.den) for v in self.nums]))
+        return self.lengths
 
     @property
     def n(self) -> int:
@@ -274,16 +221,13 @@ class Fiet(Record):
 
     @property
     def total_length(self) -> Fraction:
-        den = lcm(*[q.denominator for q in self.lengths])
-        return Fraction(
-            sum(q.numerator * (den // q.denominator) for q in self.lengths), den
-        )
+        return Fraction(sum(self.nums), self.den)
 
     def length_of(self, label: int) -> Fraction:
         return self.lengths[label - 1]
 
     def inverse(self) -> "Fiet":
-        return Fiet(self.comb.swapped(), self.lengths)
+        return Fiet.from_integers(self.comb.swapped(), self.nums, self.den)
 
 
 class OrbitPoint(Record):
@@ -316,7 +260,7 @@ def range_partition(f: Fiet) -> list[tuple[int, Fraction, Fraction]]:
 class _Tiles:
     """The map compiled once into integer tiles at a common scale.
 
-    ``scale`` is twice the lcm of the denominators of the lengths and of
+    ``scale`` is twice the lcm of the map's denominator and those of
     ``points``, so tile ends, the given points and reflected images
     (x -> a + b - x) are all integers.  ``tiles[i] = (label, u, lam, c,
     flipped)``: domain tile i is [u, u + lam) and maps x to its image offset
@@ -325,8 +269,8 @@ class _Tiles:
     """
 
     def __init__(self, f: Fiet, points: Iterable[Fraction] = ()):
-        self.scale = scale = 2 * lcm(*[q.denominator for q in (*f.lengths, *points)])
-        lam = [q.numerator * (scale // q.denominator) for q in f.lengths]
+        self.scale = scale = 2 * lcm(f.den, *[q.denominator for q in points])
+        lam = [v * (scale // f.den) for v in f.nums]
         left = {label: v for label, v, _ in _partition(f.comb.pi1, lam, 0)}
         self.tiles = [
             (label, u, hi - u, left[label] + hi, True)
@@ -611,10 +555,10 @@ def first_return(f: Fiet, cut: Fraction) -> Fiet:
                 f"with {len(missing)} labels missing"
             )
 
-    # Exact-size tuples, as in Fiet.__init__.
+    # Exact-size tuples, as in Fiet.__init__; the widths at the map's scale.
     new_pi0 = tuple([labels[p[0]] for _, _, p in domains])
     new_pi1 = tuple([labels[p[0]] for p in done])
     new_flips = frozenset(labels[p[0]] for p in done if p[2] == -1)
-    lengths = {labels[p[0]]: Fraction(p[1] - p[0], scale) for p in done}
+    widths = {labels[p[0]]: p[1] - p[0] for p in done}
     comb = FietCombinatorics(f.n, new_pi0, new_pi1, new_flips)
-    return Fiet(comb, tuple([lengths[k] for k in range(1, f.n + 1)]))
+    return Fiet.from_integers(comb, [widths[k] for k in range(1, f.n + 1)], scale)

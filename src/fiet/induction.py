@@ -200,16 +200,24 @@ def rauzy_step(f: Fiet) -> tuple[Fiet, StepOutcome]:
     label is rightmost in both rows).
     """
     top, bot = f.comb.pi0[-1], f.comb.pi1[-1]
-    lt, lb = f.length_of(top), f.length_of(bot)
+    lt, lb = f.nums[top - 1], f.nums[bot - 1]
     if lt == lb:
         raise KeaneViolation(
-            f"rightmost subintervals tie: len({top}) = len({bot}) = {lt}"
+            f"rightmost subintervals tie: len({top}) = len({bot}) = {f.length_of(top)}"
         )
-    letter = "b" if lt > lb else "a"
-    out = symbolic_step(f.comb, letter)
-    lengths = list(f.lengths)
-    lengths[out.winner - 1] -= lengths[out.loser - 1]
-    return Fiet(out.new_comb, tuple(lengths)), out
+    out = symbolic_step(f.comb, "b" if lt > lb else "a")
+    return apply_step(f, out), out
+
+
+def apply_step(f: Fiet, out: StepOutcome) -> Fiet:
+    """The FIET that the step ``out`` makes of ``f``: the winner's length
+    loses the loser's, on the integer lengths over ``f``'s denominator.
+
+    Raises ValueError when the winner is not longer than the loser.
+    """
+    nums = list(f.nums)
+    nums[out.winner - 1] -= nums[out.loser - 1]
+    return Fiet.from_integers(out.new_comb, nums, f.den)
 
 
 class RauzyPath(Record):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 from .construction import ResourceLimitError, l1_distance
@@ -165,9 +166,9 @@ def oracle_crosscheck(trials: int, seed: int = 0) -> dict:
     failures = []
     for trial in range(trials):
         f = _random_fiet(rng)
-        lt = f.length_of(f.comb.pi0[-1])
-        lb = f.length_of(f.comb.pi1[-1])
-        cut = f.total_length - min(lt, lb)
+        nums = f.nums
+        lt, lb = nums[f.comb.pi0[-1] - 1], nums[f.comb.pi1[-1] - 1]
+        cut = Fraction(sum(nums) - min(lt, lb), f.den)
         stepped, _ = rauzy_step(f)
         try:
             returned = first_return(f, cut)
@@ -190,9 +191,11 @@ def _random_fiet(rng: random.Random) -> Fiet:
         if pi0[-1] == pi1[-1]:
             continue
         flips = frozenset(k for k in range(1, n + 1) if rng.random() < 0.5)
-        lengths = tuple(
-            [Fraction(rng.randint(1, 60), rng.randint(1, 30)) for _ in range(n)]
-        )
-        f = Fiet(FietCombinatorics(n, tuple(pi0), tuple(pi1), flips), lengths)
-        if f.length_of(pi0[-1]) != f.length_of(pi1[-1]):
-            return f
+        # Length k is a/b, a drawn before b: the order of the draws fixes
+        # which maps a seed checks.  The map is built over the lcm of the b's.
+        pairs = [(rng.randint(1, 60), rng.randint(1, 30)) for _ in range(n)]
+        den = lcm(*[b for _, b in pairs])
+        nums = [a * (den // b) for a, b in pairs]
+        if nums[pi0[-1] - 1] != nums[pi1[-1] - 1]:
+            comb = FietCombinatorics(n, tuple(pi0), tuple(pi1), flips)
+            return Fiet.from_integers(comb, nums, den)

@@ -103,6 +103,26 @@ class TestStep:
         assert code == 2
         assert "winner is not longer" in err
 
+    @pytest.mark.parametrize("lengths", [RIGGED["lengths"], ["1/1"] * 8, ["2/4"] * 7 + ["1/2"]],
+                             ids=["shorter", "tied", "unreduced-tie"])
+    def test_forced_letter_needs_a_longer_winner(self, capsys, tmp_path, lengths):
+        # Label 8 wins letter 'b' only when it is longer than label 3.
+        path = write_json(tmp_path, "f.json", dict(self.RIGGED, lengths=lengths))
+        code, out, err = run(capsys, ["step", "--in", path, "--letter", "b"])
+        assert (code, out) == (2, "")
+        assert err == "error: letter contradicts the lengths: winner is not longer\n"
+
+    def test_forced_letter_takes_the_step_rule(self, capsys, tmp_path):
+        lengths = ["1/3", "2/4", "7/6", "1", "1", "1", "1", "5/12"]
+        f = serialize.fiet_from_dict(dict(self.RIGGED, lengths=lengths))
+        path = write_json(tmp_path, "f.json", dict(self.RIGGED, lengths=lengths))
+        code, out, _ = run(capsys, ["step", "--in", path, "--letter", "a"])
+        assert code == 0
+        f2, _ = rauzy_step(f)
+        assert json.loads(out)["lengths"] == [
+            "1/3", "1/2", "3/4", "1/1", "1/1", "1/1", "1/1", "5/12"
+        ] == [f"{q.numerator}/{q.denominator}" for q in f2.lengths]
+
     def test_tied_lengths_exit_one(self, capsys, tmp_path):
         tied = dict(self.RIGGED, lengths=["1/1"] * 8)
         path = write_json(tmp_path, "tie.json", tied)

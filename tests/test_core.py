@@ -1,5 +1,6 @@
 """Exact map evaluation, orbits, partitions, and the first-return oracle."""
 
+import functools
 import math
 from decimal import Decimal
 from fractions import Fraction as F
@@ -774,6 +775,127 @@ class TestValidation:
             Fiet(c, (F(1), F(0)))
         with pytest.raises(ValueError):
             Fiet(c, (F(1), F(-2)))
+
+
+def is_canonical(f):
+    """Lengths stored as positive integers over a positive denominator, in
+    lowest terms, that read back as the same Fractions."""
+    return (f.den > 0 and min(f.nums) > 0 and math.gcd(f.den, *f.nums) == 1
+            and f.lengths == tuple(F(v, f.den) for v in f.nums))
+
+
+@st.composite
+def lengths_in_a_form_st(draw):
+    """Combinatorics, lengths as (a, b) pairs, and the same lengths given in
+    one form Fraction() accepts: a Fraction, an int, an unreduced "num/den"
+    string or an exact Decimal."""
+    c = draw(combinatorics_st())
+    form = draw(st.sampled_from(["Fraction", "int", "str", "Decimal"]))
+    dens = {"int": [1], "Decimal": [1, 2, 4, 5, 8, 10, 20, 25, 100]}.get(form)
+    pairs = [(draw(st.integers(1, 60)),
+              draw(st.sampled_from(dens) if dens else st.integers(1, 24)))
+             for _ in range(c.n)]
+    k = draw(st.integers(2, 9))
+    given_as = {"Fraction": lambda a, b: F(a, b), "int": lambda a, b: a,
+                "str": lambda a, b: f"{k * a}/{k * b}",
+                "Decimal": lambda a, b: Decimal(a) / b}[form]
+    return c, pairs, tuple(given_as(a, b) for a, b in pairs)
+
+
+@functools.cache
+def deep_alpha(mode):
+    """Depth-3 limit lengths: denominators of 1,732 bits (relaxed) and
+    4,138 bits (strict)."""
+    return limit_vectors(getattr(ParameterSchedule, mode)(), 3).alpha
+
+
+class TestIntegerLengths:
+    """A Fiet stores its lengths as integers over one denominator."""
+
+    def check_both_constructors_agree(self, c, want, g):
+        # The integer constructor gets an unreduced common denominator.
+        den = 6 * math.lcm(*[q.denominator for q in want])
+        nums = [q.numerator * (den // q.denominator) for q in want]
+        h = Fiet.from_integers(c, nums, den)
+        assert repr(Fiet.from_integers(c, nums, den)) == repr(g)
+        assert g.lengths == h.lengths == want
+        assert all(type(q) is F for q in g.lengths + h.lengths)
+        assert g == h and hash(g) == hash(h)
+        assert g.total_length == h.total_length == sum(want)
+        assert type(h.total_length) is F
+        assert replace(h) == h == replace(g)
+        assert replace(h, comb=c.swapped()) == g.inverse() == h.inverse()
+        assert replace(h, lengths=want[::-1]) == replace(g, lengths=want[::-1])
+        assert is_canonical(g) and is_canonical(h)
+        assert g.den == math.lcm(*[q.denominator for q in want])
+
+    @given(lengths_in_a_form_st())
+    def test_every_form_and_the_integer_constructor_agree(self, data):
+        c, pairs, lengths = data
+        want = tuple(F(a, b) for a, b in pairs)
+        self.check_both_constructors_agree(c, want, Fiet(c, lengths))
+
+    @pytest.mark.parametrize("mode", ["relaxed", "strict"])
+    def test_deep_alpha(self, mode):
+        alpha = deep_alpha(mode)
+        assert max(q.denominator for q in alpha).bit_length() > 1700
+        self.check_both_constructors_agree(base_datum(), alpha, Fiet(base_datum(), alpha))
+
+    def test_unequal_lengths_are_unequal_maps(self):
+        c = FLIPPY.comb
+        assert Fiet(c, (1, 5, 4)) != Fiet(c, (2, 10, 8))
+        assert Fiet(c, (1, 5, 4)) != Fiet(c.swapped(), (1, 5, 4))
+
+    @pytest.mark.parametrize("nums, den, message", [
+        ((1, 2), 1, "lengths must have one entry per label"),
+        ((1, 2, 0), 1, "all lengths must be positive"),
+        ((1, -2, 3), 1, "all lengths must be positive"),
+        ((1, 2, 3), 0, "all lengths must be positive"),
+        ((-1, -2, -3), -1, "all lengths must be positive"),
+    ])
+    def test_integer_constructor_validates(self, nums, den, message):
+        with pytest.raises(ValueError) as err:
+            Fiet.from_integers(FLIPPY.comb, nums, den)
+        assert str(err.value) == message
+
+    def check_step_and_return(self, f):
+        stepped, out = rauzy_step(f)
+        # The Fraction rule of the step, computed here on f's Fractions.
+        want = list(f.lengths)
+        want[out.winner - 1] = f.lengths[out.winner - 1] - f.lengths[out.loser - 1]
+        assert stepped.lengths == tuple(want)
+        assert is_canonical(stepped)
+        rightmost = (f.length_of(f.comb.pi0[-1]), f.length_of(f.comb.pi1[-1]))
+        returned = first_return(f, f.total_length - min(rightmost))
+        assert is_canonical(returned)
+        assert returned == stepped
+
+    @given(steppable_fiets_st())
+    def test_step_and_return_are_canonical(self, f):
+        self.check_step_and_return(f)
+
+    @pytest.mark.parametrize("mode", ["relaxed", "strict"])
+    def test_deep_step_and_return_are_canonical(self, mode):
+        self.check_step_and_return(Fiet(base_datum(), deep_alpha(mode)))
+
+    @given(fiets_st(), st.data())
+    def test_any_return_is_canonical(self, f, data):
+        cut = data.draw(st.sampled_from(domain_partition(f)))[2]
+        try:
+            returned = first_return(f, cut)
+        except OracleInapplicable:
+            return
+        assert is_canonical(returned)
+
+    def test_lengths_are_made_on_first_read(self):
+        f = Fiet.from_integers(FLIPPY.comb, [2, 10, 8], 2)
+        assert "lengths" not in vars(f)
+        assert (f.den, f.nums) == (1, (1, 5, 4))
+        assert f == FLIPPY and f.total_length == 10
+        assert "lengths" not in vars(f)
+        assert f.lengths is f.lengths == FLIPPY.lengths
+        with pytest.raises(AttributeError, match="'Fiet' object has no attribute 'area'"):
+            f.area
 
 
 class TestRecord:

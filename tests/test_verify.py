@@ -1,5 +1,6 @@
 """Tests for the inequality suites, towers, separation, and simulation."""
 
+import hashlib
 import os
 import platform
 import random
@@ -557,6 +558,31 @@ class TestOracleCrosscheck:
             Fiet(FietCombinatorics(2, (2, 1), (1, 2), {1, 2}),
                  (Fraction(47, 23), Fraction(11, 10))),
         ]
+
+    def test_seed_draw_stream_in_text(self):
+        # The same stream as above, pinned as text, so the pin holds whatever
+        # a Fiet stores or compares: rows, flips and each length as num/den
+        # for the first draws of seed 1, and a digest of the first 2,500
+        # draws of each seed that the benchmark and CI check.
+        def text(f):
+            return (f.comb.pi0, f.comb.pi1, tuple(sorted(f.comb.flips)),
+                    tuple(map(str, f.lengths)))
+
+        rng = random.Random(1)
+        assert [text(_random_fiet(rng)) for _ in range(3)] == [
+            ((2, 1, 3), (3, 1, 2), (1, 2), ("51/7", "7/16", "2/29")),
+            ((3, 6, 2, 8, 1, 5, 4, 7), (8, 4, 7, 5, 6, 1, 3, 2), (2, 3, 4, 5, 6, 7, 8),
+             ("5/4", "15/22", "3/5", "3", "60", "1", "59/18", "20/7")),
+            ((2, 1), (1, 2), (1, 2), ("47/23", "11/10")),
+        ]
+        digests = {}
+        for seed in (1, 2, 3, 4):
+            rng, h = random.Random(seed), hashlib.sha256()
+            for _ in range(2500):
+                h.update(repr(text(_random_fiet(rng))).encode())
+            digests[seed] = h.hexdigest()[:16]
+        assert digests == {1: "f0f397c506de628a", 2: "4be9087fcbc12a7f",
+                           3: "a8c29b253e4cebc6", 4: "1625337f3368afa2"}
 
     @pytest.mark.skipif(platform.python_implementation() != "CPython"
                         or sys.getallocatedblocks() == 0,
