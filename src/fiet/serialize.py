@@ -146,14 +146,13 @@ def step_outcome_to_dict(out: StepOutcome) -> dict:
     }
 
 
-def record_to_dict(r: InequalityRecord, fraction=format_fraction) -> dict:
-    """JSON-ready record; ``fraction`` renders its three exact values."""
+def record_to_dict(r: InequalityRecord) -> dict:
     return {
         "lemma": r.lemma_id,
         "item": r.item,
-        "lhs": fraction(r.lhs),
-        "rhs": fraction(r.rhs),
-        "margin": fraction(r.margin),
+        "lhs": format_fraction(r.lhs),
+        "rhs": format_fraction(r.rhs),
+        "margin": format_fraction(r.margin),
         "holds": r.holds,
         "strict": r.strict,
     }
@@ -220,29 +219,6 @@ def limit_report_to_dict(rep: LimitReport, precision: int = 12) -> dict:
     }
 
 
-def _cached_format_fraction() -> Callable[[Fraction], str]:
-    """:func:`format_fraction` converting each distinct integer once.
-
-    A level's records repeat their integers (the level's total is the
-    denominator of most of its values), so one of these serves one list,
-    or one level of a :class:`~fiet.verify.LevelRecords`: a level's digits
-    are dropped when the next level begins.  A tower record's values are
-    :class:`~fiet.twins.TwinFraction` values, whose digits come from their
-    decimal twins in linear time; only an integer without a twin is
-    converted by :func:`int_to_str`.
-    """
-    digits: dict[int, str] = {}
-
-    def fraction(q: Fraction) -> str:
-        for n, twin in zip((q.numerator, q.denominator),
-                           getattr(q, "twins", _NO_TWINS)):
-            if n not in digits:
-                digits[n] = _digits(n, twin)
-        return f"{digits[q.numerator]}/{digits[q.denominator]}"
-
-    return fraction
-
-
 class Deferred:
     """A record list built only when it is written.
 
@@ -272,7 +248,7 @@ def json_default(o):
     raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
-def verify_report_to_dict(report: dict, precision: int = 12) -> dict:
+def verify_report_to_dict(report: dict) -> dict:
     """The payload :func:`dump_json` writes for the dict of verify.verify_all.
 
     Records stay :class:`InequalityRecord` values, written as their
@@ -388,7 +364,7 @@ def dump_json(obj, stream: Optional[TextIO] = None) -> Optional[str]:
     text is returned.  A float, a dict key that is not a ``str`` or a value
     of any other type raises ``TypeError``.
     """
-    pieces = _json_pieces(obj, "", format_fraction)
+    pieces = _json_pieces(obj, "")
     if stream is None:
         return "".join(pieces) + "\n"
     stream.writelines(pieces)
@@ -396,11 +372,11 @@ def dump_json(obj, stream: Optional[TextIO] = None) -> Optional[str]:
     return None
 
 
-def _json_pieces(o, indent: str, fraction: Callable[[Fraction], str]) -> Iterator[str]:
+def _json_pieces(o, indent: str) -> Iterator[str]:
     """The JSON text of ``o`` in pieces, as :func:`dump_json` lays it out
-    ``indent`` deep.  ``fraction`` renders the values of a record; each list,
-    and each level of a :class:`~fiet.verify.LevelRecords`, gets its own
-    :func:`_cached_format_fraction`."""
+    ``indent`` deep.  A record's values are written by
+    :func:`format_fraction`, which takes a tower value's digits from its
+    decimal twins."""
     if isinstance(o, str):
         yield encode_basestring_ascii(o)
     elif o is None:
@@ -416,13 +392,13 @@ def _json_pieces(o, indent: str, fraction: Callable[[Fraction], str]) -> Iterato
             f'"holds": {"true" if o.holds else "false"}',
             f'"item": {encode_basestring_ascii(o.item)}',
             f'"lemma": {encode_basestring_ascii(o.lemma_id)}',
-            f'"lhs": "{fraction(o.lhs)}"',
-            f'"margin": "{fraction(o.margin)}"',
-            f'"rhs": "{fraction(o.rhs)}"',
+            f'"lhs": "{format_fraction(o.lhs)}"',
+            f'"margin": "{format_fraction(o.margin)}"',
+            f'"rhs": "{format_fraction(o.rhs)}"',
             f'"strict": {"true" if o.strict else "false"}',
         )) + "\n" + indent + "}"
     elif isinstance(o, Deferred):
-        yield from _json_pieces(o.records(), indent, fraction)
+        yield from _json_pieces(o.records(), indent)
     elif isinstance(o, dict):
         if not o:
             yield "{}"
@@ -433,7 +409,7 @@ def _json_pieces(o, indent: str, fraction: Callable[[Fraction], str]) -> Iterato
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
             yield separator + encode_basestring_ascii(key) + ": "
-            yield from _json_pieces(value, inner, fraction)
+            yield from _json_pieces(value, inner)
             separator = ",\n" + inner
         yield "\n" + indent + "}"
     elif isinstance(o, (list, tuple, LevelRecords)):
@@ -441,13 +417,10 @@ def _json_pieces(o, indent: str, fraction: Callable[[Fraction], str]) -> Iterato
             yield "[]"
             return
         inner = indent + "  "
-        starts = o.starts if isinstance(o, LevelRecords) else {0}
         separator = "[\n" + inner
-        for i, item in enumerate(o):
-            if i in starts:
-                fraction = _cached_format_fraction()
+        for item in o:
             yield separator
-            yield from _json_pieces(item, inner, fraction)
+            yield from _json_pieces(item, inner)
             separator = ",\n" + inner
         yield "\n" + indent + "]"
     else:

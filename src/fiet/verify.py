@@ -88,15 +88,12 @@ class LevelRecords(Sequence):
     A level is added as its records, or as a callable that builds them
     each time the level is read, with their number.  So a long list of
     failing records is never held: iterating builds one level at a time.
-    ``starts`` holds the index at which each level's records begin, so a
-    writer can work level by level.  It is equal to a list of the same
-    records.
+    It is equal to a list of the same records.
     """
 
     def __init__(self, records=()) -> None:
         self._levels: list = []
         self._len = 0
-        self.starts = {0}
         self.add_level(records)
 
     def add_level(self, records, count: Optional[int] = None) -> None:
@@ -105,7 +102,6 @@ class LevelRecords(Sequence):
         if count is None:
             records = list(records)
             count = len(records)
-        self.starts.add(self._len)
         self._levels.append(records)
         self._len += count
 

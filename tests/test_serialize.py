@@ -496,25 +496,16 @@ class TestRecordText:
                 + check_separation(w, w[::-1], (0,) * 7 + (1,),
                                    PathParameters(2, 4, 8, 4, 2)))
 
-    def test_failing_records_convert_digits_once_per_level(self, monkeypatch):
-        # The failing list spans every level; its digits are cached one
-        # level at a time, so an integer two levels share is converted twice.
+    def test_failing_records_written_across_levels(self):
+        # The failing list spans several levels and is written as one list.
         big = 10 ** 60 + 7
         rec = InequalityRecord("L1", "x", Fraction(1, big), Fraction(2, big),
                                Fraction(-1, big), False)
         failing = verify.LevelRecords([rec, rec])
         failing.add_level([rec])
-        assert failing == [rec] * 3 and failing.starts == {0, 2}
-        converted = []
-
-        def counting(n):
-            converted.append(n)
-            return int_to_str(n)
-
-        monkeypatch.setattr(serialize, "int_to_str", counting)
+        assert failing == [rec] * 3
         payload = {"records_failing": failing}
         text = dump_json(payload)
-        assert converted.count(big) == 2
         assert text == encoder_text(payload)
 
     def test_verify_all_groups_failing_records_by_level(self):
@@ -523,13 +514,13 @@ class TestRecordText:
         failing = rep["records_failing"]
         assert isinstance(failing, verify.LevelRecords) and len(failing) == 91
         # The separation's failing records first, then each level's.
-        runs = [[r for r in rep["separation"] if not r.holds]] + [
-            [r for r in tower[level] if not r.holds]
+        runs = [r for r in rep["separation"] if not r.holds] + [
+            r
             for key in ("lambda7", "lambda5", "lambda2")
             for tower in [rep["towers"][key]] for level in tower
+            for r in tower[level] if not r.holds
         ]
-        ends = sorted(failing.starts) + [len(failing)]
-        assert [failing[a:b] for a, b in zip(ends, ends[1:])] == [r for r in runs if r]
+        assert list(failing) == runs
 
     @pytest.mark.parametrize("depth", [0, 1, 2, 3, 4])
     @pytest.mark.parametrize("empty", [False, True])

@@ -112,8 +112,8 @@ class TestTwinDigits:
 class TestVerifyConvertsNoLargeInteger:
     """The report's digits come from twins: no large integer is converted."""
 
-    @pytest.mark.parametrize("family, code", [("reference", 0), ("computed", 1)])
-    def test_relaxed_depth_3(self, capsys, monkeypatch, family, code):
+    @staticmethod
+    def check(capsys, monkeypatch, mode, family, code):
         converted = []
 
         def counting(n):
@@ -121,8 +121,18 @@ class TestVerifyConvertsNoLargeInteger:
             return int_to_str(n)
 
         monkeypatch.setattr(serialize, "int_to_str", counting)
-        assert main(["verify", "--mode", "relaxed", "--depth", "3",
+        assert main(["verify", "--mode", mode, "--depth", "3",
                      "--family", family]) == code
         out = capsys.readouterr().out
         assert len(out) > 300_000 and converted
         assert max(converted) <= 1000, sorted(converted)[-5:]
+
+    @pytest.mark.parametrize("family, code", [("reference", 0), ("computed", 1)])
+    def test_relaxed_depth_3(self, capsys, monkeypatch, family, code):
+        self.check(capsys, monkeypatch, "relaxed", family, code)
+
+    @pytest.mark.parametrize("family, code", [("reference", 0), ("computed", 1)])
+    def test_strict_depth_3(self, capsys, monkeypatch, family, code):
+        # The strict schedule has the largest parameters, and its report
+        # writes records that hold but not strictly.
+        self.check(capsys, monkeypatch, "strict", family, code)
