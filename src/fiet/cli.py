@@ -28,6 +28,7 @@ from typing import Iterator, Optional, TextIO
 
 from . import serialize
 from .construction import (
+    FAMILIES,
     ParameterSchedule,
     PathParameters,
     ResourceLimitError,
@@ -339,7 +340,7 @@ def _add_schedule_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON schedule file overriding --mode")
     p.add_argument("--depth", type=int, default=3,
                    help="number of three-copy blocks (default: 3)")
-    p.add_argument("--family", choices=("computed", "reference"),
+    p.add_argument("--family", choices=tuple(FAMILIES),
                    help="matrix family (defaults: construct/simulate computed, "
                         "verify reference)")
     p.add_argument("--d", type=int, help="override the growth ratio d")

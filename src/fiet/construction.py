@@ -7,24 +7,27 @@ sigma = (2->4, 4->3, 3->2).  sigma has order three, so three consecutive
 applications return exactly to the base state, and blocks of three form a
 closed renormalization scheme.
 
-The path's matrix from the base state is one copy polynomial M0 in p1..p5,
-derived once per process, with sigma, by :func:`base_copy`: the run rule of
-:func:`fiet.induction.thread_runs` threads the word with its parameters as
-symbols.  Each parameter run must start on a state its letter fixes, so the
-end state does not depend on the parameters and M0 is multilinear, with
+A matrix family is one entry of :data:`FAMILIES`: a word, and whether copy
+j starts on cycle state (j-1) mod 3 or on the base state.  Copy j's matrix
+is its word threaded from the state the copy starts on, evaluated at copy
+j's parameters.  :func:`base_copy` threads each (word, start state) pair
+once per process, with its parameters as symbols, by the run rule of
+:func:`fiet.induction.thread_runs`.  Each parameter run must start on a
+state its letter fixes, so the end state does not depend on the parameters
+and the polynomial is multilinear; gamma's from the base state, M0, has
 nine terms: 1, p1..p5, p1*p2, p1*p3 and p4*p5.  A step never looks at label
-names, so from cycle state k (the base relabelled by sigma^k) the matrix is
-M0 read in that state's labels, P^k M0 P^-k with P e_j = e_sigma(j).  The
-computed copy j is read out in the frame of cycle state j-1, and a block is
-the product of M0(p_j) P over its three copies.
+names, so from cycle state k (the base relabelled by sigma^k) gamma gives
+P^k M0 P^-k with P e_j = e_sigma(j), and a computed block is the product of
+M0(p_j) P over its three copies.
 
-Two matrix families live here.  The **computed** family evaluates M0; its
-cone drives length-driven induction along the path letter for letter, and
-it gives the limit lengths, simulation and contraction.  The **reference**
-family is the copy polynomial of a second word gamma_ref(p1, p2, p3); its
-column sums are the eight expansion coefficients of the inequality suite in
-:mod:`fiet.verify`, which uses it by default.  The families differ entry-wise;
-:func:`matrix_fidelity_report` reports how, exactly.
+The **computed** family, (gamma, cycle state), drives length-driven
+induction along the path letter for letter and gives the limit lengths,
+simulation and contraction; a test checks each of its copies on the map
+(see :mod:`fiet.verify`).  The **reference** family, (gamma_ref(p1, p2,
+p3), base state), gives the expansion coefficients of the inequality suite
+in :mod:`fiet.verify`, which uses it by default; its tower is the map's at
+copy 1 only.  The families differ entry-wise; :func:`matrix_fidelity_report`
+reports how, exactly.
 """
 
 from __future__ import annotations
@@ -140,37 +143,47 @@ def _power(sigma: Sequence[int], k: int) -> tuple[int, ...]:
     return out
 
 
-@lru_cache(maxsize=2)
-def base_copy(runs: Sequence = PATH_RUNS) -> tuple[Mapping, tuple[int, ...]]:
-    """(M0, sigma): the copy polynomial of ``runs`` at the base state and its
-    relabelling.
+# Each matrix family: its word, and whether copy j starts on cycle state
+# (j - 1) mod 3 (True) or on the base state (False).
+FAMILIES = {"computed": (PATH_RUNS, True), "reference": (REFERENCE_RUNS, False)}
 
-    M0 is read-only: it maps each monomial (a sorted tuple of parameter
+
+@lru_cache(maxsize=4)  # the (word, start state) pairs of FAMILIES
+def base_copy(
+    runs: Sequence = PATH_RUNS, start: Optional[FietCombinatorics] = None
+) -> tuple[Mapping, tuple[int, ...]]:
+    """(M, sigma): the copy polynomial of ``runs`` threaded from ``start``
+    (default: the base state) and its relabelling.
+
+    M is read-only: it maps each monomial (a sorted tuple of parameter
     names) to its integer coefficient columns.  sigma, as the images of
-    labels 1..8, is read off the end state: sigma(base.pi0[i]) =
+    labels 1..8, is read off the end state: sigma(start.pi0[i]) =
     end.pi0[i].  A step never looks at label names, so "the end state is
-    the base relabelled by sigma, and sigma^3 = id" is "three copies return
-    to the base state"; a failure, or a parameter run that starts on a
-    state its letter moves, raises :class:`ConstructionBrokenError`.
+    the start relabelled by sigma, and sigma^3 = id" is "three copies
+    return to the start state"; a failure, or a parameter run that starts
+    on a state its letter moves, raises :class:`ConstructionBrokenError`.
+    The cache is keyed on the arguments as given, and this module always
+    passes both, so it derives each (word, start state) pair once.
     """
-    base = base_datum()
+    if start is None:
+        start = base_datum()
     try:
-        end, poly = thread_runs(base, runs)
+        end, poly = thread_runs(start, runs)
     except ValueError as exc:
         raise ConstructionBrokenError(str(exc)) from None
-    image = dict(zip(base.pi0, end.pi0))
+    image = dict(zip(start.pi0, end.pi0))
     sigma = tuple(image[a] for a in range(1, N_LABELS + 1))
-    if _relabel(base, sigma) != end:
-        raise ConstructionBrokenError("the end state is not a relabelled base state")
+    if _relabel(start, sigma) != end:
+        raise ConstructionBrokenError("the end state is not a relabelled start state")
     if _power(sigma, COPIES_PER_BLOCK) != _power(sigma, 0):
-        raise ConstructionBrokenError("three copies did not return to the base state")
+        raise ConstructionBrokenError("three copies did not return to the start state")
     return MappingProxyType({m: tuple(map(tuple, c)) for m, c in poly.items()}), sigma
 
 
 def cycle_states() -> tuple[FietCombinatorics, ...]:
     """The three states visited by consecutive path applications: the base
     state relabelled by sigma^k for k = 0, 1, 2 (see :func:`base_copy`)."""
-    sigma = base_copy()[1]
+    sigma = base_copy(PATH_RUNS, base_datum())[1]
     return tuple(_relabel(base_datum(), _power(sigma, k))
                  for k in range(COPIES_PER_BLOCK))
 
@@ -181,7 +194,7 @@ def reference_theta(t: PathParameters) -> TransitionMatrix:
     Its column sums are the eight expansion coefficients consumed by the
     inequality suite; p4 and p5 do not appear.
     """
-    return polynomial_at(base_copy(REFERENCE_RUNS)[0], t)
+    return polynomial_at(base_copy(FAMILIES["reference"][0], base_datum())[0], t)
 
 
 def reference_column_sums(t: PathParameters) -> tuple[int, ...]:
@@ -299,25 +312,17 @@ class ParameterSchedule(Record):
 def theta_copy(
     schedule: ParameterSchedule, j: int, family: str = "computed"
 ) -> TransitionMatrix:
-    """Transition matrix of copy j under the schedule, for either family.
-
-    The computed matrix is M0 evaluated at copy j's parameters, then read out
-    in the frame of cycle state j-1: with k = (j-1) mod 3 and s = sigma^k,
-    entry (s(a), s(b)) is M0[a][b], i.e. P^k M0 P^-k.
-    """
-    t = schedule.params(j)
-    if family == "reference":
-        return reference_theta(t)
-    if family != "computed":
-        raise ValueError(f"family must be 'computed' or 'reference', got {family!r}")
-    poly, sigma = base_copy()
-    m0 = polynomial_at(poly, t).rows
-    s = _power(sigma, (j - 1) % COPIES_PER_BLOCK)
-    rows = [[0] * N_LABELS for _ in range(N_LABELS)]
-    for a in range(N_LABELS):
-        for b in range(N_LABELS):
-            rows[s[a] - 1][s[b] - 1] = m0[a][b]
-    return TransitionMatrix(tuple(map(tuple, rows)))
+    """Transition matrix of copy j under the schedule: the family's word
+    threaded from the state copy j starts on (see :data:`FAMILIES`) at copy
+    j's parameters.  A computed copy starts on cycle state k = (j-1) mod 3,
+    so its matrix is P^k M0 P^-k."""
+    try:
+        runs, relabel = FAMILIES[family]
+    except KeyError:
+        raise ValueError(f"family must be {' or '.join(map(repr, FAMILIES))}, "
+                         f"got {family!r}") from None
+    start = cycle_states()[(j - 1) % COPIES_PER_BLOCK if relabel else 0]
+    return polynomial_at(base_copy(runs, start)[0], schedule.params(j))
 
 
 def theta_block(
@@ -473,7 +478,7 @@ def matrix_fidelity_report(
     closed-form formulas, and the computed entries that move with p4 and with
     p5: those with a p4 (p5) term in the non-negative copy polynomial.
     """
-    poly, _ = base_copy()
+    poly = base_copy(FAMILIES["computed"][0], base_datum())[0]
     end = cycle_states()[1]
     dependent = {p: tuple(
         (i + 1, j + 1) for i in range(N_LABELS) for j in range(N_LABELS)

@@ -286,31 +286,16 @@ def verify_report_to_dict(report: dict) -> dict:
 
 
 def fidelity_to_dict(fid: dict) -> dict:
-    cases = []
-    for c in fid["cases"]:
-        t = c["params"]
-        cases.append({
-            "params": {f"p{k}": getattr(t, f"p{k}") for k in range(1, 6)},
-            "end_state": comb_to_dict(c["end_state"]),
-            "computed": matrix_to_lists(c["computed"]),
-            "reference": matrix_to_lists(c["reference"]),
-            "entrywise_equal": c["entrywise_equal"],
-            "differing_entries": [list(e) for e in c["differing_entries"]],
-            "computed_column_sums": list(c["computed_column_sums"]),
-            "reference_column_sums": list(c["reference_column_sums"]),
-            "reference_column_sums_match_formula":
-                c["reference_column_sums_match_formula"],
-            "reference_row_sums_match_formula":
-                c["reference_row_sums_match_formula"],
-            "p4_dependent_entries": [list(e) for e in c["p4_dependent_entries"]],
-            "p5_dependent_entries": [list(e) for e in c["p5_dependent_entries"]],
-        })
-    return {
-        "cases": cases,
-        "entrywise_equal": fid["entrywise_equal"],
-        "reference_identities_hold": fid["reference_identities_hold"],
-        "discrepancy_isolated": fid["discrepancy_isolated"],
-    }
+    """The fidelity report as :func:`dump_json` writes it: each case's
+    matrices become their rows, its parameters p1..p5 and its end state
+    :func:`comb_to_dict`; the tuples and flags pass through as they are."""
+    return {**fid, "cases": [{
+        **c,
+        "params": {f"p{k}": getattr(c["params"], f"p{k}") for k in range(1, 6)},
+        "end_state": comb_to_dict(c["end_state"]),
+        "computed": matrix_to_lists(c["computed"]),
+        "reference": matrix_to_lists(c["reference"]),
+    } for c in fid["cases"]]}
 
 
 FREQUENCY_CSV_HEADER = (

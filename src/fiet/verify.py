@@ -14,10 +14,14 @@ the digits of those values.
 Tower convention: with J = 3m copies scheduled, the level-j vector is the
 normalized image of the seed basis vector under the copy matrices j..J
 (applied right to left).  Levels J-1 and J are start-up artifacts of the
-finite seed, so a depth-m run checks levels 1..3m-2.  Each copy matrix is
-read in the labels of the state its copy starts from, so a computed level-j
-vector is in the frame of cycle state j-1: it is P^(j-1) A_j ... A_J e_seed
-with A_j = M0(p_j) P (see :mod:`fiet.construction`).
+finite seed, so a depth-m run checks levels 1..3m-2.  Copy j's matrix is
+its family's word threaded from the state copy j starts on
+(:data:`fiet.construction.FAMILIES`), so a computed level-j vector is in
+the frame of cycle state j-1: it is P^(j-1) A_j ... A_J e_seed with A_j =
+M0(p_j) P.  A test walks each computed copy k on the map: with F_k the map
+of cycle state k mod 3 and lengths theta_(k+1) ... theta_J (1, ..., 1),
+from two points of each tile a of F_k, F_(k-1) counts column a of theta_k
+and ends at F_k's image.  The reference tower passes at copy 1 only.
 """
 
 from __future__ import annotations

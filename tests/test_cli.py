@@ -410,17 +410,26 @@ class TestVerify:
 class TestOutputPins:
     """SHA-256 of the whole stdout: every printed number and key, byte for byte."""
 
-    @pytest.mark.parametrize("args,digest", [
-        ("verify --mode relaxed --depth 3",
+    @pytest.mark.parametrize("args,exit_code,digest", [
+        ("verify --mode relaxed --depth 3", 0,
          "6fd0a3942643c53ba60376826c1116e60a882f94296e0f94f652621d05677c80"),
-        ("verify --mode strict --depth 2",
+        ("verify --mode strict --depth 2", 0,
          "80e8ceae0f569d41fffcef756f62e8e3cd5dbb0441d92e204fd1bb266f3cf2fb"),
-        ("construct --depth 3",
+        ("construct --depth 3", 0,
          "7049c9a244703f9584401abf1cab7bb43f5c17fd395116310daf17ef5290d57d"),
-    ], ids=["verify-relaxed-3", "verify-strict-2", "construct-3"])
-    def test_stdout_digest(self, capsys, args, digest):
+        # Each command run with the other family than its default.
+        ("construct --family reference --depth 3", 0,
+         "713e02193bcbe8ad703bf9eee2838ceeb871e33db8c86ee14815a41195eb51e5"),
+        ("verify --family computed --depth 3", 1,
+         "98f27087b67eb316f868663e4319d8edacf969b8c07465ff9239c755a9a89016"),
+        ("verify --family computed --mode strict --depth 2", 1,
+         "66ae43fce8adaa2478ace7b515fd4a0c03b975106e3816d35fbd270a5c34fcac"),
+    ], ids=["verify-relaxed-3", "verify-strict-2", "construct-3",
+            "construct-reference-3", "verify-computed-relaxed-3",
+            "verify-computed-strict-2"])
+    def test_stdout_digest(self, capsys, args, exit_code, digest):
         code, out, _ = run(capsys, args.split())
-        assert code == 0
+        assert code == exit_code
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 

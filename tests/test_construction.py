@@ -304,6 +304,12 @@ class TestRelabelling:
     def test_cycle_state_is_the_relabelled_base(self, k):
         assert cycle_states()[k] == relabelled(base_datum(), sigma_power(k))
 
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_sigma_is_read_relative_to_the_start_state(self, k):
+        # From cycle state k the path ends on cycle state k + 1: the start
+        # relabelled by the same sigma.
+        assert base_copy(PATH_RUNS, cycle_states()[k])[1] == SIGMA
+
     @pytest.mark.parametrize("schedule", NAMED, ids=lambda s: s.mode)
     @pytest.mark.parametrize("j", range(1, 7))
     def test_copy_is_m0_in_the_frame_of_its_start_state(self, schedule, j):

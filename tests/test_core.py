@@ -2,6 +2,7 @@
 
 import functools
 import math
+import signal
 from decimal import Decimal
 from fractions import Fraction as F
 
@@ -572,36 +573,69 @@ class TestNestedRuns:
         assert (lo, hi) == (want_lo, want_hi)
 
 
-def solve_exactly(rows, b):
-    """x with rows . x = b, by Gauss-Jordan elimination on Fractions."""
-    n = len(b)
-    a = [[F(v) for v in row] + [F(w)] for row, w in zip(rows, b)]
-    for c in range(n):
-        pivot = next(r for r in range(c, n) if a[r][c])
-        a[c], a[pivot] = a[pivot], a[c]
-        for r in range(n):
-            if r != c and a[r][c]:
-                m = a[r][c] / a[c][c]
-                a[r] = [v - m * w for v, w in zip(a[r], a[c])]
-    return tuple(a[i][n] / a[i][i] for i in range(n))
+def certificate_tower(schedule, depth, family):
+    """(thetas, maps) of a depth-m tower with J = 3m copies.
+
+    thetas[k] is copy k's matrix (k = 1..J) and maps[k] is F_k =
+    Fiet(cycle state k mod 3, lambda_k) with the integer lengths
+    lambda_k = theta_(k+1) ... theta_J (1, ..., 1), so lambda_(k-1) =
+    theta_k lambda_k and nothing is solved.
+    """
+    copies = 3 * depth
+    thetas = [None] + [theta_copy(schedule, k, family) for k in range(1, copies + 1)]
+    lengths = [(1,) * 8]
+    for theta in reversed(thetas[1:]):
+        lengths.insert(0, theta.mat_vec(lengths[0]))
+    return thetas, [Fiet(cycle_states()[k % 3], lam) for k, lam in enumerate(lengths)]
+
+
+def walk_copy(thetas, maps, k, labels=range(1, 9)):
+    """For each tile of F_k with a label in ``labels``, from its midpoint
+    and from the first third of it: walk F_(k-1) for column-sum steps of
+    that label's column of theta_k.  Yields (counts ok, end point ok)."""
+    for label, lo, hi in domain_partition(maps[k]):
+        if label in labels:
+            column = thetas[k].column(label)
+            for x in ((lo + hi) / 2, lo + (hi - lo) / 3):
+                pt = iterate(maps[k - 1], x, sum(column))
+                yield pt.visit_counts == column, pt.position == evaluate(maps[k], x)
 
 
 class TestTowerCertificate:
-    def test_copy_one_columns_on_the_map(self):
-        # Over one copy-1 return, the Birkhoff sum of an orbit from F1's
-        # tile i is column i of theta_1, and it ends at F1's image: the
-        # first copy's tower, checked on the map itself (heights 1e5-2e9).
-        relaxed = ParameterSchedule.relaxed()
-        alpha = limit_vectors(relaxed, 1, "computed").alpha
-        theta = theta_copy(relaxed, 1, "computed")
-        f1 = Fiet(cycle_states()[1], solve_exactly(theta.rows, alpha))
-        f = Fiet(base_datum(), alpha)
-        for label, lo, hi in domain_partition(f1):
-            column = tuple(row[label - 1] for row in theta.rows)
-            for x in ((lo + hi) / 2, lo + (hi - lo) / 3):
-                pt = iterate(f, x, sum(column))
-                assert pt.visit_counts == column
-                assert pt.position == evaluate(f1, x)
+    """Over one return to F_k's interval, the Birkhoff sum of an orbit of
+    F_(k-1) from F_k's tile a is column a of theta_k, and it ends at F_k's
+    image: copy k of the tower, checked on the map itself."""
+
+    @pytest.fixture(autouse=True)
+    def time_limit(self):
+        # A copy that is not a return of the map can walk for hours instead
+        # of failing; these walks take milliseconds.
+        def expire(signum, frame):
+            raise TimeoutError("a tower walk ran past 30 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, 30)
+        yield
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+    @pytest.mark.parametrize("schedule, depth", [
+        (ParameterSchedule.relaxed(), 3), (ParameterSchedule.strict(), 2),
+    ], ids=["relaxed-3", "strict-2"])
+    def test_every_computed_copy_on_the_map(self, schedule, depth):
+        # 144 and 96 walks; the relaxed depth-3 heights pass 1e108.
+        thetas, maps = certificate_tower(schedule, depth, "computed")
+        results = [r for k in range(1, 3 * depth + 1) for r in walk_copy(thetas, maps, k)]
+        assert results == [(True, True)] * (48 * depth)
+
+    def test_reference_tower_is_not_the_maps_after_copy_one(self):
+        thetas, maps = certificate_tower(ParameterSchedule.relaxed(), 1, "reference")
+        assert list(walk_copy(thetas, maps, 1)) == [(True, True)] * 16
+        # Over copy 2 the tiles labelled 1, 4 and 8 count another column
+        # and end elsewhere.  The other five tiles' walks did not finish
+        # within 3 s each, so they are not walked.
+        results = list(walk_copy(thetas, maps, 2, labels=(1, 4, 8)))
+        assert results == [(False, False)] * 6
 
 
 class TestFirstReturn:
