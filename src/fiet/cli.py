@@ -316,6 +316,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_oracle(args) -> int:
     if args.trials < 0:
         raise UsageError("--trials must be >= 0")
+    if args.seed < 0:  # random.Random(-n) draws what Random(n) does
+        raise UsageError("--seed must be >= 0")
     summary = oracle_crosscheck(args.trials, args.seed)
     payload = {
         "trials": summary["trials"],
@@ -416,7 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="randomized induction/first-return crosscheck")
     p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="non-negative seed of the random maps (default 0)")
     p.add_argument("--out", help="output file (default: stdout)")
     p.set_defaults(func=_cmd_oracle)
 

@@ -182,18 +182,48 @@ def oracle_crosscheck(trials: int, seed: int = 0) -> dict:
 
 
 def _random_fiet(rng: random.Random) -> Fiet:
+    """A random map for :func:`oracle_crosscheck`, drawn from ``rng``.
+
+    Which maps a seed checks is part of its meaning, so the draws are a
+    contract.  In order: n in 2..8; the domain row, then the range row,
+    each 1..n shuffled; a fresh draw from n on when their rightmost labels
+    coincide; for each label 1..n, flipped when ``rng.random() < 0.5``;
+    then for each label its length a/b, a in 1..60 drawn before b in
+    1..30; a fresh draw from n on when the two rightmost lengths are
+    equal.  A value in ``lo..lo + m - 1`` is ``lo`` plus ``below(m)``,
+    rejection sampling on ``rng.getrandbits(m.bit_length())``, and a row
+    is shuffled by Fisher-Yates: for i from n - 1 down to 1, ``x[i]``
+    swaps with ``x[below(i + 1)]``.
+
+    These are the values the standard library's ``randint`` and
+    ``shuffle`` draw, without their layers of calls, which took most of
+    a draw's time.  Read straight from the generator, they also stay put
+    if those helpers change: Python promises the same stream across
+    versions only for ``random()``, and ``getrandbits`` is the
+    generator's own output.
+    """
+    bits, uniform = rng.getrandbits, rng.random
+
+    def below(m: int) -> int:
+        k = m.bit_length()
+        r = bits(k)
+        while r >= m:
+            r = bits(k)
+        return r
+
     while True:
-        n = rng.randint(2, 8)
-        pi0 = list(range(1, n + 1))
-        pi1 = list(range(1, n + 1))
-        rng.shuffle(pi0)
-        rng.shuffle(pi1)
+        n = 2 + below(7)
+        rows = list(range(1, n + 1)), list(range(1, n + 1))
+        for row in rows:
+            for i in range(n - 1, 0, -1):
+                j = below(i + 1)
+                row[i], row[j] = row[j], row[i]
+        pi0, pi1 = rows
         if pi0[-1] == pi1[-1]:
             continue
-        flips = frozenset(k for k in range(1, n + 1) if rng.random() < 0.5)
-        # Length k is a/b, a drawn before b: the order of the draws fixes
-        # which maps a seed checks.  The map is built over the lcm of the b's.
-        pairs = [(rng.randint(1, 60), rng.randint(1, 30)) for _ in range(n)]
+        flips = frozenset([k for k in range(1, n + 1) if uniform() < 0.5])
+        # The map is built over the lcm of the b's.
+        pairs = [(1 + below(60), 1 + below(30)) for _ in range(n)]
         den = lcm(*[b for _, b in pairs])
         nums = [a * (den // b) for a, b in pairs]
         if nums[pi0[-1] - 1] != nums[pi1[-1] - 1]:

@@ -542,6 +542,11 @@ class TestOracle:
         args = ["oracle", "--trials", "25", "--seed", "3"]
         assert run(capsys, args) == run(capsys, args)
 
+    def test_negative_seed_exit_two(self, capsys):
+        # random.Random(-3) draws the maps of Random(3).
+        code, out, err = run(capsys, ["oracle", "--trials", "5", "--seed", "-3"])
+        assert (code, out, err) == (2, "", "error: --seed must be >= 0\n")
+
 
 class TestInputErrors:
     @pytest.mark.parametrize("argv", [

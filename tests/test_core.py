@@ -811,6 +811,95 @@ class TestValidation:
             Fiet(c, (F(1), F(-2)))
 
 
+def combinatorics_by_the_plain_rule(n, pi0, pi1, flips):
+    """``(n, pi0, pi1, flips)`` as FietCombinatorics stores them, checked
+    the plain way: each row's set equals the label set, and values of any
+    type but int are converted."""
+    def ints(values):
+        if set(map(type, values)) <= {int}:
+            return values
+        return type(values)(map(int, values))
+
+    def permutation(images, labels, name):
+        images = tuple(images)
+        if len(images) != len(labels) or set(images) != labels:
+            raise ValueError(
+                f"{name} must be a permutation of 1..{len(labels)}, got {images}"
+            )
+        return ints(images)
+
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    labels = frozenset(range(1, n + 1))
+    pi0 = permutation(pi0, labels, "pi0")
+    pi1 = permutation(pi1, labels, "pi1")
+    flips = frozenset(flips)
+    if not flips <= labels:
+        raise ValueError(f"flips {set(flips)} not a subset of 1..{n}")
+    return n, pi0, pi1, ints(flips)
+
+
+@st.composite
+def label_value_st(draw, k):
+    """The value k as an int, a float, a Fraction, or a bool where one is k."""
+    forms = [int, float, F] + ([bool] if k in (0, 1) else [])
+    return draw(st.sampled_from(forms))(k)
+
+
+@st.composite
+def label_row_st(draw, n):
+    """A row of 1..n in any order, in mixed forms, often spoiled: a label
+    doubled, replaced by 0 or n + 1, dropped, or an extra one added."""
+    row = draw(st.permutations(range(1, n + 1)))
+    spoil = draw(st.sampled_from(["none"] * 4 + ["double", "zero", "over", "drop", "add"]))
+    i = draw(st.integers(0, n - 1))
+    if spoil == "double":
+        row[i] = row[(i + 1) % n]
+    elif spoil in ("zero", "over"):
+        row[i] = 0 if spoil == "zero" else n + 1
+    elif spoil == "drop":
+        del row[i]
+    elif spoil == "add":
+        row.append(draw(st.integers(0, n + 1)))
+    return [draw(label_value_st(k)) for k in row]
+
+
+@st.composite
+def combinatorics_args_st(draw):
+    n = draw(st.integers(1, 8))
+    flips = draw(st.lists(st.integers(1, n), max_size=n))
+    if draw(st.integers(0, 3)) == 0:
+        flips.append(draw(st.sampled_from([0, n + 1])))
+    return (n, draw(label_row_st(n)), draw(label_row_st(n)),
+            [draw(label_value_st(k)) for k in flips])
+
+
+class TestCombinatoricsRule:
+    @given(combinatorics_args_st())
+    @example((3, (1, True, 3.0), (F(3), 1, 2), [True, 2.0]))
+    @example((2, (1, 2), (2, 1), [0]))
+    @example((2, (1, 2), (2, 1), [F(3)]))
+    @example((3, (1, 2, 2), (1, 2, 3), []))
+    @example((3, (1, 2), (1, 2, 3), []))
+    @example((3, (1, 2, 3), (1, 2, 3, 1), []))
+    @example((3, (1, 2, 3), (0, 1, 2), []))
+    @example((3, (1, 2, 3), (1, 2, 4), []))
+    @example((3, (1, 2, 2.5), (1, 2, 3), []))
+    @settings(max_examples=400)
+    def test_same_verdicts_messages_and_stored_ints(self, args):
+        try:
+            want = combinatorics_by_the_plain_rule(*args)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                FietCombinatorics(*args)
+            assert str(got.value) == str(exc)
+            return
+        c = FietCombinatorics(*args)
+        assert (c.n, c.pi0, c.pi1, c.flips) == want
+        assert (type(c.pi0), type(c.pi1), type(c.flips)) == (tuple, tuple, frozenset)
+        assert all(type(v) is int for v in (*c.pi0, *c.pi1, *c.flips))
+
+
 def is_canonical(f):
     """Lengths stored as positive integers over a positive denominator, in
     lowest terms, that read back as the same Fractions."""

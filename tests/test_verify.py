@@ -1,6 +1,7 @@
 """Tests for the inequality suites, towers, separation, and simulation."""
 
 import hashlib
+import math
 import os
 import platform
 import random
@@ -583,6 +584,46 @@ class TestOracleCrosscheck:
             digests[seed] = h.hexdigest()[:16]
         assert digests == {1: "f0f397c506de628a", 2: "4be9087fcbc12a7f",
                            3: "a8c29b253e4cebc6", 4: "1625337f3368afa2"}
+
+    def test_draws_read_only_getrandbits_and_random(self, monkeypatch):
+        # The draws must not lean on Random's helpers, whose streams Python
+        # does not promise across versions: the pinned draws above hold
+        # for a generator on which every helper raises.
+        class BitsOnly(random.Random):
+            def _helper(self, *args, **kwargs):
+                raise AssertionError("drew through a Random helper")
+
+            randint = randrange = shuffle = choice = sample = _randbelow = _helper
+
+        monkeypatch.setattr(random, "Random", BitsOnly)
+        self.test_seed_draws_the_same_fiets()
+        self.test_seed_draw_stream_in_text()
+
+    def test_draws_match_randint_and_shuffle(self):
+        # The same maps as drawn with randint and shuffle, draw for draw,
+        # and the generator left in the same state.
+        def drawn_with_helpers(rng):
+            while True:
+                n = rng.randint(2, 8)
+                pi0 = list(range(1, n + 1))
+                pi1 = list(range(1, n + 1))
+                rng.shuffle(pi0)
+                rng.shuffle(pi1)
+                if pi0[-1] == pi1[-1]:
+                    continue
+                flips = frozenset(k for k in range(1, n + 1) if rng.random() < 0.5)
+                pairs = [(rng.randint(1, 60), rng.randint(1, 30)) for _ in range(n)]
+                den = math.lcm(*[b for _, b in pairs])
+                nums = [a * (den // b) for a, b in pairs]
+                if nums[pi0[-1] - 1] != nums[pi1[-1] - 1]:
+                    comb = FietCombinatorics(n, tuple(pi0), tuple(pi1), flips)
+                    return Fiet.from_integers(comb, nums, den)
+
+        for seed in range(20):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            for _ in range(3000):
+                assert _random_fiet(ours) == drawn_with_helpers(theirs)
+            assert ours.getstate() == theirs.getstate()
 
     @pytest.mark.skipif(platform.python_implementation() != "CPython"
                         or sys.getallocatedblocks() == 0,
