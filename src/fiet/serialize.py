@@ -13,7 +13,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Iterator, Optional, Sequence, TextIO
+from typing import Iterator, Optional, Sequence, TextIO
 
 from .core import Fiet, FietCombinatorics, exact_int
 from .construction import NAMED_SCHEDULES, LimitReport, ParameterSchedule
@@ -219,28 +219,11 @@ def limit_report_to_dict(rep: LimitReport, precision: int = 12) -> dict:
     }
 
 
-class Deferred:
-    """A record list built only when it is written.
-
-    ``records`` builds the list.  :func:`dump_json` calls it when it reaches
-    this value and writes the records where the value sits; ``json.dumps``
-    given :func:`json_default` gets the list the same way.  What is built is
-    dropped once written.
-    """
-
-    __slots__ = ("records",)
-
-    def __init__(self, records: Callable[[], Sequence[InequalityRecord]]) -> None:
-        self.records = records
-
-
 def json_default(o):
     """The ``default`` hook with which ``json.dumps`` writes what
-    :func:`dump_json` writes: a :class:`Deferred` or a
-    :class:`~fiet.verify.LevelRecords` as its record list and an
-    :class:`InequalityRecord` as its :func:`record_to_dict` dict."""
-    if isinstance(o, Deferred):
-        return o.records()
+    :func:`dump_json` writes: a :class:`~fiet.verify.LevelRecords` as its
+    record list, built as it is read, and an :class:`InequalityRecord` as
+    its :func:`record_to_dict` dict."""
     if isinstance(o, LevelRecords):
         return list(o)
     if isinstance(o, InequalityRecord):
@@ -252,17 +235,14 @@ def verify_report_to_dict(report: dict) -> dict:
     """The payload :func:`dump_json` writes for the dict of verify.verify_all.
 
     Records stay :class:`InequalityRecord` values, written as their
-    :func:`record_to_dict` dicts, and each tower level's record list is
-    :class:`Deferred`: the level's records are built when the writer
-    reaches that level, so a written report holds one level at a time.
+    :func:`record_to_dict` dicts.  Each tower level is its
+    :class:`~fiet.verify.LevelRecords`, whose records are built when the
+    writer reaches that level, so a written report holds one level at a time.
     """
-    def level_records(tower, level) -> Deferred:
-        return Deferred(lambda: tower[level])
-
     towers = {}
     for key in ("lambda7", "lambda5", "lambda2"):
         tower = report["towers"][key]
-        towers[key] = {str(level): level_records(tower, level) for level in tower}
+        towers[key] = {str(level): tower[level] for level in tower}
     vectors = {
         key: vector_to_strs(vec)
         for key, vec in report["towers"]["vectors"].items()
@@ -344,10 +324,11 @@ def dump_json(obj, stream: Optional[TextIO] = None) -> Optional[str]:
     default=json_default) + "\n"``, with integers of any size written in
     :func:`int_to_str` digits.  Given a text ``stream``, it is written there
     piece by piece as it is made and nothing is returned, so no copy of the
-    whole text is ever held; a :class:`Deferred` is built when it is
-    reached, so one record list is held at a time.  Without a stream the
-    text is returned.  A float, a dict key that is not a ``str`` or a value
-    of any other type raises ``TypeError``.
+    whole text is ever held; a :class:`~fiet.verify.LevelRecords` builds
+    each level's records when it is reached, so one level's records are
+    held at a time.  Without a stream the text is returned.  A float, a
+    dict key that is not a ``str`` or a value of any other type raises
+    ``TypeError``.
     """
     pieces = _json_pieces(obj, "")
     if stream is None:
@@ -382,8 +363,6 @@ def _json_pieces(o, indent: str) -> Iterator[str]:
             f'"rhs": "{format_fraction(o.rhs)}"',
             f'"strict": {"true" if o.strict else "false"}',
         )) + "\n" + indent + "}"
-    elif isinstance(o, Deferred):
-        yield from _json_pieces(o.records(), indent)
     elif isinstance(o, dict):
         if not o:
             yield "{}"

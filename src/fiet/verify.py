@@ -95,10 +95,12 @@ class LevelRecords(Sequence):
     It is equal to a list of the same records.
     """
 
-    def __init__(self, records=()) -> None:
+    __slots__ = ("_levels", "_len")  # a report holds one per tower level
+
+    def __init__(self, records=(), count: Optional[int] = None) -> None:
         self._levels: list = []
         self._len = 0
-        self.add_level(records)
+        self.add_level(records, count)
 
     def add_level(self, records, count: Optional[int] = None) -> None:
         """Append a level: its records, or, with ``count``, a callable
@@ -131,8 +133,8 @@ class _Records:
     """Records whose non-constant sides share one positive denominator ``den``.
 
     A side is an int n, read as the value n / den (an integer linear form in
-    a level's coordinates, read over their total), a pair (n, d) of ints
-    with d > 0, read as the constant n / d, or a Fraction constant.
+    a level's coordinates, read over their total), or a pair (n, d) of ints
+    with d > 0, read as the constant n / d.
     ``holds`` is the sign of the cross-multiplied difference, an integer.
     With ``build`` false a call returns only that verdict and builds no
     Fraction; otherwise it returns the record, whose lhs, rhs and margin are
@@ -160,15 +162,8 @@ class _Records:
             self._values[num, den] = q
         return q
 
-    def _value(self, side, num: int, den: int) -> Fraction:
-        return side if isinstance(side, Fraction) else self._fraction(num, den)
-
     def _side(self, side) -> tuple[int, int]:
-        if isinstance(side, int):
-            return side, self.den
-        if type(side) is tuple:
-            return side
-        return side.numerator, side.denominator
+        return (side, self.den) if isinstance(side, int) else side
 
     def __call__(self, lemma_id: str, item: str, lhs, rhs, strict: bool = True):
         ln, ld = self._side(lhs)
@@ -178,7 +173,7 @@ class _Records:
         holds = num > 0 if strict else num >= 0
         if not self.build:
             return holds
-        lq, rq = self._value(lhs, ln, ld), self._value(rhs, rn, rd)
+        lq, rq = self._fraction(ln, ld), self._fraction(rn, rd)
         if same:
             margin = self._fraction(num, ld)
         else:
@@ -341,21 +336,21 @@ def _lemma4(x, b, t, build):
     return records
 
 
-def _tower(matrices: Sequence[TransitionMatrix], seed: int, decimal: bool = False):
+def _tower(matrices: Sequence[TransitionMatrix], seed: int):
     """The tower recursion, from the seed level down to level 1.
 
-    Yields ``(j, w_j)`` for j = J+1 .. 1, where J = len(matrices), w_(J+1)
-    is basis vector ``seed`` and w_j = M_j * w_(j+1) with M_j =
-    ``matrices[j - 1]``.  With ``decimal``, each w_j is its exact decimal
-    twin instead, made by the same products (see :mod:`fiet.twins`).
+    Yields ``(j, w_j, dec_j)`` for j = J+1 .. 1, where J = len(matrices),
+    w_(J+1) is basis vector ``seed``, w_j = M_j * w_(j+1) with M_j =
+    ``matrices[j - 1]``, and dec_j is w_j's exact decimal twin, made by the
+    same product (see :mod:`fiet.twins`).
     """
-    w = tuple(int(k == seed) for k in range(1, N_LABELS + 1))
+    w = dec = tuple(int(k == seed) for k in range(1, N_LABELS + 1))
     j = len(matrices) + 1
-    yield j, w
+    yield j, w, dec
     for matrix in reversed(matrices):
         j -= 1
-        w = decimal_mat_vec(matrix.rows, w) if decimal else matrix.mat_vec(w)
-        yield j, w
+        w, dec = matrix.mat_vec(w), decimal_mat_vec(matrix.rows, dec)
+        yield j, w, dec
 
 
 def tower_vectors(
@@ -377,7 +372,7 @@ def tower_vectors(
     if copies < 1:
         raise ValueError("copies must be >= 1")
     matrices = [theta_copy(schedule, j, family) for j in range(1, copies + 1)]
-    return {j: _normalized(w) for j, w in _tower(matrices, seed)}
+    return {j: _normalized(w) for j, w, _ in _tower(matrices, seed)}
 
 
 def _normalized(w: Sequence[int]) -> tuple[Fraction, ...]:
@@ -397,36 +392,36 @@ def checked_levels(m: int) -> tuple[int, ...]:
 class TowerRecords(Mapping):
     """One tower's inequality records by level, built each time a level is read.
 
-    Only the level vectors are held: ``vectors`` (level -> w, integers) and
-    ``twins`` (level -> the decimal twin of w).  ``level(j)`` is level j's
-    vector of :class:`~fiet.twins.Twin` values, from which ``check`` builds
-    its records, so their values carry their digits; ``verdicts(j, w)``
-    says whether each of them holds, in the same order, on the integers
-    alone.  So a report that is written level by level holds one level's
-    records at a time.
+    Only the level vectors are held, in ``levels``: level -> (w, dec), the
+    integers w and their decimal twins.  ``suite(j, w, build)`` is the
+    tower's inequality suite at level j, as :class:`_Records` gives it.
+    ``level(j)`` is level j's vector of :class:`~fiet.twins.Twin` values;
+    ``tower[j]`` is a :class:`LevelRecords` that builds the suite's records
+    on it each time it is iterated, so their values carry their digits, and
+    ``verdicts(j)`` says whether each of them holds, in the same order, on
+    the integers alone.  So a report that is written level by level holds
+    one level's records at a time.
     """
 
-    def __init__(self, vectors: dict[int, tuple[int, ...]], twins: dict,
-                 check, verdicts):
-        self.vectors = vectors
-        self.twins = twins
-        self._check = check
-        self._verdicts = verdicts
+    def __init__(self, levels: dict[int, tuple], suite):
+        self.levels = levels
+        self._suite = suite
 
     def level(self, level: int) -> tuple[Twin, ...]:
-        return twin_vector(self.vectors[level], self.twins[level])
+        return twin_vector(*self.levels[level])
 
-    def __getitem__(self, level: int) -> list[InequalityRecord]:
-        return self._check(level, self.level(level))
+    def __getitem__(self, level: int) -> LevelRecords:
+        return LevelRecords(lambda: self._suite(level, self.level(level), True),
+                            len(self.verdicts(level)))
 
     def __iter__(self):
-        return iter(self.vectors)
+        return iter(self.levels)
 
     def __len__(self) -> int:
-        return len(self.vectors)
+        return len(self.levels)
 
     def verdicts(self, level: int) -> list[bool]:
-        return self._verdicts(level, self.vectors[level])
+        return self._suite(level, self.levels[level][0], False)
 
 
 def lemma_towers(
@@ -442,8 +437,8 @@ def lemma_towers(
     each a :class:`TowerRecords` over the checked levels, where the lambda2
     tower carries both its domination (L3) and lower-bound (L4) records,
     and additionally the level-1 vectors under "vectors".  The checks read
-    each level's integer vector w_j directly, as w_j / S_j, and the same
-    recursion in exact decimal arithmetic gives each w_j's twin.
+    each level's integer vector w_j directly, as w_j / S_j; one recursion
+    per tower makes w_j and its decimal twin.
     """
     levels = checked_levels(m)
     _check_c(c)
@@ -451,29 +446,21 @@ def lemma_towers(
     matrices = [theta_copy(schedule, j, family)
                 for j in range(1, COPIES_PER_BLOCK * m + 1)]
 
-    def checked(seed: int, decimal: bool) -> dict:
+    def checked(seed: int) -> dict:
         # The recursion runs from the seed level down; a tower reads upward.
-        return dict(reversed([(j, w) for j, w in _tower(matrices, seed, decimal)
+        return dict(reversed([(j, (w, dec)) for j, w, dec in _tower(matrices, seed)
                               if j in levels]))
 
+    # Records are built through the public checks, which a traced run counts.
     p, d = schedule.params, schedule.d
     towers = {
-        "lambda7": TowerRecords(
-            checked(7, False), checked(7, True),
-            lambda j, w: check_lemma1(w, p(j), d),
-            lambda j, w: _lemma1(w, p(j), d, build=False),
-        ),
-        "lambda5": TowerRecords(
-            checked(5, False), checked(5, True),
-            lambda j, w: check_lemma2(w, p(j)),
-            lambda j, w: _lemma2(w, p(j), build=False),
-        ),
-        "lambda2": TowerRecords(
-            checked(2, False), checked(2, True),
-            lambda j, w: check_lemma3(w, c, p(j)) + check_lemma4(w, b, p(j)),
-            lambda j, w: (_lemma3(w, c, p(j), build=False)
-                          + _lemma4(w, b, p(j), build=False)),
-        ),
+        "lambda7": TowerRecords(checked(7), lambda j, w, build: (
+            check_lemma1(w, p(j), d) if build else _lemma1(w, p(j), d, build))),
+        "lambda5": TowerRecords(checked(5), lambda j, w, build: (
+            check_lemma2(w, p(j)) if build else _lemma2(w, p(j), build))),
+        "lambda2": TowerRecords(checked(2), lambda j, w, build: (
+            check_lemma3(w, c, p(j)) + check_lemma4(w, b, p(j)) if build
+            else _lemma3(w, c, p(j), build) + _lemma4(w, b, p(j), build))),
     }
     towers["vectors"] = {key: _normalized(tower.level(1))
                          for key, tower in towers.items()}
@@ -492,7 +479,6 @@ def check_separation(
     parameters of the schedule that produced the vectors).
     """
     (w2, s2), (w5, s5), (w7, s7) = (_projective(v) for v in (l2, l5, l7))
-    one = Fraction(1)
     p1 = t.p1
     # A pair's sums and L1 distance are integers over the product of its totals.
     r57, r27, r25 = _Records(s5 * s7), _Records(s2 * s7), _Records(s2 * s5)
@@ -503,9 +489,10 @@ def check_separation(
     d57 = l1_cross(w5, s5, w7, s7)
     d27 = l1_cross(w2, s2, w7, s7)
     d25 = l1_cross(w2, s2, w5, s5)
-    b75 = (one - Fraction(1, p1)) + Fraction(1, 7)
-    b57 = Fraction(9, 10) + Fraction(1, 4)
-    b2x = (one - Fraction(1, p1)) + Fraction(1, 34)
+    one = (1, 1)
+    b75 = (8 * p1 - 7, 7 * p1)  # (1 - 1/p1) + 1/7
+    b57 = (23, 20)  # 9/10 + 1/4
+    b2x = (35 * p1 - 34, 34 * p1)  # (1 - 1/p1) + 1/34
     return [
         r57("SEP", "(1 - x7(l5)) + x7(l7) > 1", s75, one),
         r57("SEP", "(1 - x5(l7)) + x5(l5) > 1", s57, one),
@@ -515,14 +502,10 @@ def check_separation(
         r57("SEP", "(1 - x5(l7)) + x5(l5) > 9/10 + 1/4", s57, b57),
         r27("SEP", "(1 - x2(l7)) + x2(l2) > (1 - 1/p1) + 1/34", s27, b2x),
         r25("SEP", "(1 - x2(l5)) + x2(l2) > (1 - 1/p1) + 1/34", s25, b2x),
-        r57("SEP", "L1(l5, l7) > 1/7 - 1/p1",
-            d57, Fraction(1, 7) - Fraction(1, p1)),
-        r57("SEP", "L1(l5, l7) > 1/4 - 1/10",
-            d57, Fraction(1, 4) - Fraction(1, 10)),
-        r27("SEP", "L1(l2, l7) > 1/34 - 1/p1",
-            d27, Fraction(1, 34) - Fraction(1, p1)),
-        r25("SEP", "L1(l2, l5) > 1/34 - 1/p1",
-            d25, Fraction(1, 34) - Fraction(1, p1)),
+        r57("SEP", "L1(l5, l7) > 1/7 - 1/p1", d57, (p1 - 7, 7 * p1)),
+        r57("SEP", "L1(l5, l7) > 1/4 - 1/10", d57, (3, 20)),
+        r27("SEP", "L1(l2, l7) > 1/34 - 1/p1", d27, (p1 - 34, 34 * p1)),
+        r25("SEP", "L1(l2, l5) > 1/34 - 1/p1", d25, (p1 - 34, 34 * p1)),
     ]
 
 

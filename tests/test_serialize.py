@@ -31,7 +31,6 @@ from fiet import (
 from fiet import serialize, verify
 from fiet.serialize import (
     FREQUENCY_CSV_HEADER,
-    Deferred,
     comb_from_dict,
     comb_to_dict,
     dump_json,
@@ -526,7 +525,7 @@ class TestRecordText:
     @pytest.mark.parametrize("empty", [False, True])
     def test_any_depth(self, depth, empty):
         recs = [] if empty else self.records()
-        for payload in (Deferred(lambda: recs), recs):
+        for payload in (verify.LevelRecords(lambda: recs, len(recs)), recs):
             # Alternate dicts and lists around the record list.
             for k in range(depth):
                 payload = {"b": 1, "k": payload, "a": [2]} if k % 2 else [3, payload]

@@ -358,6 +358,26 @@ class TestTowers:
             for recs in out[key].values():
                 assert all(r.holds for r in recs)
 
+    def test_a_level_builds_its_records_when_iterated(self, monkeypatch):
+        built = []
+
+        def counted(*args):
+            built.append(args[1])
+            return InequalityRecord(*args)
+
+        monkeypatch.setattr(fiet.verify, "InequalityRecord", counted)
+        out = lemma_towers(SMALL, 2)
+        for key in ("lambda7", "lambda5", "lambda2"):
+            tower = out[key]
+            for level in tower:
+                recs = tower[level]
+                verdicts = tower.verdicts(level)
+                assert len(recs) == len(verdicts)
+                assert built == []
+                assert [r.holds for r in recs] == verdicts
+                assert len(built) == len(verdicts)
+                built.clear()
+
 
 class TestSeparation:
     def test_basis_vectors_separate_maximally(self):
