@@ -150,10 +150,10 @@ FAMILIES = {"computed": (PATH_RUNS, True), "reference": (REFERENCE_RUNS, False)}
 
 @lru_cache(maxsize=4)  # the (word, start state) pairs of FAMILIES
 def base_copy(
-    runs: Sequence = PATH_RUNS, start: Optional[FietCombinatorics] = None
+    runs: Sequence, start: FietCombinatorics
 ) -> tuple[Mapping, tuple[int, ...]]:
     """(M, sigma): the copy polynomial of ``runs`` threaded from ``start``
-    (default: the base state) and its relabelling.
+    and its relabelling.
 
     M is read-only: it maps each monomial (a sorted tuple of parameter
     names) to its integer coefficient columns.  sigma, as the images of
@@ -162,11 +162,7 @@ def base_copy(
     the start relabelled by sigma, and sigma^3 = id" is "three copies
     return to the start state"; a failure, or a parameter run that starts
     on a state its letter moves, raises :class:`ConstructionBrokenError`.
-    The cache is keyed on the arguments as given, and this module always
-    passes both, so it derives each (word, start state) pair once.
     """
-    if start is None:
-        start = base_datum()
     try:
         end, poly = thread_runs(start, runs)
     except ValueError as exc:
@@ -402,16 +398,16 @@ def limit_vectors(
     schedule: ParameterSchedule,
     m: int,
     family: str = "computed",
-    v: Optional[Sequence] = None,
     max_entry_bits: int = 4_000_000,
 ) -> LimitReport:
-    """Normalized columns 2, 5, 7 and the image of ``v`` after m blocks.
+    """Normalized columns 2, 5, 7 and the image of the all-ones direction
+    after m blocks.
 
     ``lambdaK`` is the normalized image of the K-th basis vector under the
     product of the first 3m copy matrices; ``alpha`` is the normalized image
-    of ``v`` (default: the all-ones direction).  ``contraction_diameter`` is
-    the largest pairwise L1 distance between the eight normalized columns —
-    the exact diameter of the image of the whole simplex.
+    of (1, ..., 1), the product's row sums.  ``contraction_diameter`` is the
+    largest pairwise L1 distance between the eight normalized columns — the
+    exact diameter of the image of the whole simplex.
 
     Raises :class:`ResourceLimitError` (carrying a partial report over the
     blocks completed so far) if any matrix entry would exceed
@@ -419,8 +415,6 @@ def limit_vectors(
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    if v is None:
-        v = (1,) * N_LABELS
     total = theta_block(schedule, 1, family)
     for i in range(2, m + 1):
         bits = max(e.bit_length() for row in total.rows for e in row)
@@ -428,14 +422,14 @@ def limit_vectors(
             raise ResourceLimitError(
                 f"matrix entries reached {bits} bits after block {i - 1} "
                 f"(budget {max_entry_bits}); partial report attached",
-                partial=_report_from_product(total, i - 1, family, v),
+                partial=_report_from_product(total, i - 1, family),
             )
         total = total @ theta_block(schedule, i, family)
-    return _report_from_product(total, m, family, v)
+    return _report_from_product(total, m, family)
 
 
 def _report_from_product(
-    total: TransitionMatrix, m: int, family: str, v: Sequence
+    total: TransitionMatrix, m: int, family: str
 ) -> LimitReport:
     cols = [total.column(j) for j in range(1, N_LABELS + 1)]
     sums = total.column_sums()
@@ -448,14 +442,13 @@ def _report_from_product(
             den = sums[i] * sums[j]
             if num * best_den > best_num * den:
                 best_num, best_den = num, den
-    w, _ = integer_coordinates(v)
     return LimitReport(
         m=m,
         family=family,
         lambda2=normalize(cols[1]),
         lambda5=normalize(cols[4]),
         lambda7=normalize(cols[6]),
-        alpha=normalize(total.mat_vec(w)),
+        alpha=normalize(total.row_sums()),
         contraction_diameter=Fraction(best_num, best_den),
     )
 

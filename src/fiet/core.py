@@ -141,14 +141,6 @@ class FietCombinatorics(Record):
         _set(self, "pi1", pi1)
         _set(self, "flips", _ints(flips))
 
-    @property
-    def rightmost_domain_label(self) -> int:
-        return self.pi0[-1]
-
-    @property
-    def rightmost_range_label(self) -> int:
-        return self.pi1[-1]
-
     def restrict(self, labels: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Both label rows restricted to ``labels``, preserving relative order."""
         keep = set(labels)

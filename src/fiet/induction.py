@@ -118,27 +118,6 @@ class TransitionMatrix(Record):
     def row_sums(self) -> tuple[int, ...]:
         return tuple(sum(row) for row in self.rows)
 
-    def det(self) -> int:
-        """Exact determinant (fraction-free Gaussian elimination)."""
-        n = self.n
-        m = [list(r) for r in self.rows]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
-
 
 class StepOutcome(Record):
     """Everything one induction step produces besides the new lengths."""

@@ -395,33 +395,32 @@ class TowerRecords(Mapping):
     Only the level vectors are held, in ``levels``: level -> (w, dec), the
     integers w and their decimal twins.  ``suite(j, w, build)`` is the
     tower's inequality suite at level j, as :class:`_Records` gives it.
-    ``level(j)`` is level j's vector of :class:`~fiet.twins.Twin` values;
-    ``tower[j]`` is a :class:`LevelRecords` that builds the suite's records
-    on it each time it is iterated, so their values carry their digits, and
-    ``verdicts(j)`` says whether each of them holds, in the same order, on
-    the integers alone.  So a report that is written level by level holds
-    one level's records at a time.
+    Each level's verdicts are decided once, on the integers alone, when the
+    tower is built: ``verdicts[j]`` says whether each record of level j
+    holds, in order.  ``level(j)`` is level j's vector of
+    :class:`~fiet.twins.Twin` values; ``tower[j]`` is a
+    :class:`LevelRecords` that builds the suite's records on it each time it
+    is iterated, so their values carry their digits.  So a report that is
+    written level by level holds one level's records at a time.
     """
 
     def __init__(self, levels: dict[int, tuple], suite):
         self.levels = levels
         self._suite = suite
+        self.verdicts = {j: suite(j, w, False) for j, (w, _) in levels.items()}
 
     def level(self, level: int) -> tuple[Twin, ...]:
         return twin_vector(*self.levels[level])
 
     def __getitem__(self, level: int) -> LevelRecords:
         return LevelRecords(lambda: self._suite(level, self.level(level), True),
-                            len(self.verdicts(level)))
+                            len(self.verdicts[level]))
 
     def __iter__(self):
         return iter(self.levels)
 
     def __len__(self) -> int:
         return len(self.levels)
-
-    def verdicts(self, level: int) -> list[bool]:
-        return self._suite(level, self.levels[level][0], False)
 
 
 def lemma_towers(
@@ -529,8 +528,9 @@ def verify_all(
     :class:`TowerRecords` per tower, which builds a level when it is read),
     the separation records on the level-1 vectors, the count and the list
     of failing records (a :class:`LevelRecords`, the separation's first,
-    then each tower level's, built when read),
-    and (optionally) the matrix fidelity report.  The
+    then each tower level's, built when read), both read off the verdicts
+    each tower decided when it was built, and (optionally) the matrix
+    fidelity report.  The
     "passed" flag is True iff every record holds AND, when the fidelity
     report is included, the reference-family sum identities hold AND, at
     each fidelity parameter set, the two families are equal entry-wise or
@@ -546,16 +546,15 @@ def verify_all(
         towers["lambda7"].level(1),
         schedule.params(1),
     )
-    # Every verdict is decided on integers first, so the totals and the
-    # number of failing records are known before any level is built; a
-    # level with a failing record is built again whenever the failing list
-    # is read, so those records are never held.
+    # Each tower decided its verdicts on integers when it was built, so the
+    # totals and the number of failing records are known before any level
+    # is built; a level with a failing record is built again whenever the
+    # failing list is read, so those records are never held.
     total = len(separation)
     failing = LevelRecords(r for r in separation if not r.holds)
     for key in ("lambda7", "lambda5", "lambda2"):
         tower = towers[key]
-        for level in tower:
-            verdicts = tower.verdicts(level)
+        for level, verdicts in tower.verdicts.items():
             total += len(verdicts)
             if not all(verdicts):
                 failing.add_level(_failing(tower, level), verdicts.count(False))

@@ -40,6 +40,26 @@ def steppable_fiets_st(min_n=2, max_n=6):
     return fiets_st(min_n=min_n, max_n=max_n).filter(_steppable)
 
 
+def det_fraction_elimination(rows) -> Fraction:
+    """Independent determinant oracle: plain Gaussian elimination over Q."""
+    n = len(rows)
+    m = [[Fraction(v) for v in r] for r in rows]
+    det = Fraction(1)
+    for k in range(n):
+        piv = next((i for i in range(k, n) if m[i][k] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            det = -det
+        det *= m[k][k]
+        for i in range(k + 1, n):
+            factor = m[i][k] / m[k][k]
+            for j in range(k, n):
+                m[i][j] -= factor * m[k][j]
+    return det
+
+
 def subtractive_steps(a: int, b: int) -> list[tuple[int, int]]:
     """Trace of the subtractive gcd algorithm: successive (larger-reduced) pairs.
 

@@ -424,27 +424,7 @@ class TestJumpAhead:
     # on the first point of a cell (scale 2, cells of width 8).
     @example((swap(fs(2), (F(9), F(2))), F(0)), [20], 3)
     def test_walk_on_any_grid(self, fx, horizons, s):
-        # The kernel's own contract, on cells of width 2**s: the largest
-        # gap between the per-cell extremes of the visited points.
-        f, start = fx
-        horizons = tuple(sorted(set(horizons)))
-        kernel = _Tiles(f, (start,))
-        rows = core._walk(kernel, int(start * kernel.scale), horizons, s)
-        xs, labels = reference_orbit(f, start, horizons[-1])
-        for h, (done, counts, gap, x) in zip(horizons, rows):
-            assert done == min(h, len(labels))
-            assert counts == label_counts(f, labels[:done])
-            assert x == xs[done] * kernel.scale
-            cells = {}
-            for v in xs[: max(done, 1)]:
-                v = int(v * kernel.scale)
-                lo, hi = cells.get(v >> s, (v, v))
-                cells[v >> s] = (min(lo, v), max(hi, v))
-            want = prev = 0
-            for cell in sorted(cells):
-                want = max(want, cells[cell][0] - prev)
-                prev = cells[cell][1]
-            assert gap == max(want, kernel.L - prev)
+        check_walk(*fx, horizons, s)
 
     def test_coarse_to_fine_rewalk(self, jumps):
         # One period visits every half-integer of [0, 10001): gaps of 1,

@@ -371,12 +371,36 @@ class TestTowers:
             tower = out[key]
             for level in tower:
                 recs = tower[level]
-                verdicts = tower.verdicts(level)
+                verdicts = tower.verdicts[level]
                 assert len(recs) == len(verdicts)
                 assert built == []
                 assert [r.holds for r in recs] == verdicts
                 assert len(built) == len(verdicts)
                 built.clear()
+
+    def test_a_level_is_decided_once_and_read_without_a_suite(self, monkeypatch):
+        calls = []
+
+        def counted(suite):
+            def wrapper(*args, **kwargs):
+                calls.append(suite.__name__)
+                return suite(*args, **kwargs)
+            return wrapper
+
+        for name in ("_lemma1", "_lemma2", "_lemma3", "_lemma4"):
+            monkeypatch.setattr(fiet.verify, name, counted(getattr(fiet.verify, name)))
+        out = lemma_towers(SMALL, 2)
+        # One pass per suite and level, when the towers are built.
+        levels = len(checked_levels(2))
+        assert sorted(calls) == sorted(
+            ["_lemma1", "_lemma2", "_lemma3", "_lemma4"] * levels)
+        calls.clear()
+        for key in ("lambda7", "lambda5", "lambda2"):
+            tower = out[key]
+            for level in tower:
+                recs = tower[level]
+                assert len(recs) == len(tower.verdicts[level])
+        assert calls == []
 
 
 class TestSeparation:
@@ -426,7 +450,7 @@ class TestVerifyAll:
             for level in tower:
                 recs = tower[level]
                 assert tower[level] == recs  # a level reads the same twice
-                assert tower.verdicts(level) == [r.holds for r in recs]
+                assert tower.verdicts[level] == [r.holds for r in recs]
                 records += recs
         # A verdict is the sign of the record's exact margin.
         assert all(r.holds == (r.margin > 0 if r.strict else r.margin >= 0)
