@@ -46,9 +46,9 @@ from .induction import (
     symbolic_step,
 )
 from .verify import (
+    _check_b,
+    _check_c,
     birkhoff_frequencies,
-    check_lemma3,
-    check_lemma4,
     midpoint_starts,
     oracle_crosscheck,
     verify_all,
@@ -254,12 +254,10 @@ def _cmd_construct(args) -> int:
 
 def _cmd_verify(args) -> int:
     schedule = _schedule_from_args(args)
-    # The lambda2 tower's seed vector: the lemma checks on it reject a bad
-    # --c or --b before any tower is built.
-    seed = (0, 1, 0, 0, 0, 0, 0, 0)
+    # A bad --c or --b is rejected before any tower is built.
     with _bad_input("bad --c or --b"):
-        check_lemma3(seed, c=args.c)
-        check_lemma4(seed, b=args.b)
+        _check_c(args.c)
+        _check_b(args.b)
     report = verify_all(
         schedule,
         args.depth,

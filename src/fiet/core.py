@@ -13,8 +13,10 @@ integers over one denominator; a map built from integers makes their
 :func:`iterate`, :func:`first_return` and
 :func:`fiet.verify.birkhoff_frequencies` share one
 map compiled into integer tiles at a common scale (``_Tiles``).  Orbits are
-stepped by one walk, :func:`_walk`, which crosses translation runs, and
-the runs nested in their windows, in closed form; ``first_return`` pushes
+stepped by one walker, :func:`fiet.window.segments`, which crosses
+translation runs in closed form by one rule at every depth, the orbit's
+and those nested in their windows; :func:`_walk` adds up its segments
+into counts and per-cell extremes.  ``first_return`` pushes
 intervals through the tiles on its own, as the independent oracle of
 induction.  Domain subintervals are closed on the left and open on the
 right.  For a flipped label the left endpoint of its domain subinterval has
@@ -32,7 +34,7 @@ from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .record import Record, _set, replace
-from .window import crossed, segments, write
+from .window import segments, write
 
 
 class FietError(Exception):
@@ -292,72 +294,35 @@ def _walk(
     One ``(steps done, visit counts, largest gap, position)`` per horizon,
     where the largest gap is taken between the per-cell extremes of the
     visited points (the exact ``max_gap`` when it is at least ``2**s``).
-
-    Translation runs are crossed in closed form, so the cost grows with
-    the number of runs, not the number of steps.  Each tile keeps the steps
-    and points of the last two visits the loop stepped through.  When the
-    visit at step t repeats them, p steps after the last one, y_0, with the
-    same displacement delta = x - y_0, :func:`_jump` walks the p steps from
-    y_0 again for each step's point y_i, its tile and e_i, the orientation
-    of T^i near y_0.  Since T is c + x or c - x on each tile, T^i(y_0 + z)
-    = y_i + e_i*z as long as each T^j(y_0 + z), j < i, lies in the tile of
-    y_j, and for a flipped tile right of its left end, where T is
-    undefined.  If T^p preserves orientation there, it is y -> y + delta,
-    so the orbit point at step t + (m - 1)*p + i is y_i + e_i*m*delta for m
-    = 1..K, where K is the largest number of windows whose points all meet
-    that condition.  Each progression y_i + e_i*m*delta is monotone in m,
-    so its last term decides, capped so that the horizon is not crossed.
-    When delta = 0 the orbit is periodic whatever the orientation, and K
-    runs to the horizon.  The window itself is walked by segments
-    (:func:`fiet.window.segments`): a segment is one step or an inner run
-    of the window, found and crossed by this same rule, to any depth, so
-    the jump's cost grows with the runs in its window, not with p.  An
-    inner run's steps are boxes of points, monotone in m too, so each
-    segment's extreme point bounds K.  The jump adds K windows to the
-    counts, writes each segment's box over the K windows into the per-cell
-    extremes in closed form (:func:`fiet.window.write`), and moves t by
-    K*p and x by K*delta.  Each jump certifies a translation cylinder of
-    the map: an interval on which T^p is the translation by delta.
+    The orbit is walked by :func:`fiet.window.segments`, which crosses
+    translation runs in closed form and stops where the map is undefined;
+    each segment adds its steps to its tile's count and writes its box of
+    points into the per-cell extremes (:func:`fiet.window.write`).  The
+    walk to one horizon continues into the next with its per-tile memory.
     """
     tiles, cuts, L = kernel.tiles, kernel.cuts, kernel.L
     lo = [L] * (((L - 1) >> s) + 1)
     hi = [-1] * len(lo)
     counts = [0] * len(tiles)
-    # Per tile: steps and points of the last visit and of the one before.
-    # A jump uses only the last, a true orbit point, so the placeholders
-    # of a tile not yet visited twice decide only when one is tried.
-    t1 = [-1] * len(tiles)
-    t2 = t1[:]
-    x1 = [0] * len(tiles)
-    x2 = x1[:]
     rows = []
-    t = 0
+    t, e, last = 0, 1, None
     for h in horizons:
-        # A terminated orbit stays at its terminal point, so every later
-        # horizon breaks at once on the same step.
-        while t < h:
-            # The tile holding x: the last cut at or before it.
-            i = bisect_right(cuts, x) - 1
-            label, u, _, c, flipped = tiles[i]
-            if flipped and x == u:
+        walk = segments(tiles, cuts, x, h, t, e, last)
+        while True:
+            try:
+                tile, z, _, _, _, n, dims = next(walk)
+            except StopIteration as stop:
+                t, x, e, last = stop.value
                 break
-            p = t - t1[i]
-            if p == t1[i] - t2[i] and x - x1[i] == x1[i] - x2[i]:
-                k = _jump(tiles, cuts, x1[i], x, p, h - t, counts, lo, hi, s)
-                if k:
-                    t += k * p
-                    x += k * (x - x1[i])
-                    continue
-            t2[i], t1[i] = t1[i], t
-            x2[i], x1[i] = x1[i], x
-            counts[label - 1] += 1
-            cell = x >> s
-            if x < lo[cell]:
-                lo[cell] = x
-            if x > hi[cell]:
-                hi[cell] = x
-            x = c - x if flipped else c + x
-            t += 1
+            counts[tile[0] - 1] += n
+            if dims:
+                write(lo, hi, s, z, dims)
+            else:  # one step, the commonest segment, written in place
+                cell = z >> s
+                if z < lo[cell]:
+                    lo[cell] = z
+                if z > hi[cell]:
+                    hi[cell] = z
         if t == 0:
             lo[x >> s] = hi[x >> s] = x
         gap = prev = 0
@@ -367,26 +332,6 @@ def _walk(
                 prev = b
         rows.append((t, tuple(counts), max(gap, L - prev), x))
     return rows
-
-
-def _jump(tiles, cuts, y, x, p, left, counts, lo, hi, s) -> int:
-    """Cross the windows of a translation run; the number K crossed.
-
-    ``y`` is the orbit's point p steps before ``x`` and ``left`` the number
-    of steps before the horizon.  Returns 0, and changes nothing, unless
-    at least one whole window fits (see :func:`_walk`).  The window is
-    walked twice by :func:`fiet.window.segments`, to find K and then to
-    write it, so that no orbit stretch is held in memory; each segment,
-    a step or an inner run, gains the K windows as one more dimension.
-    """
-    delta = x - y
-    k = crossed(tiles, cuts, y, delta, p, left // p)
-    if k:
-        for tile, z, e, _, _, n, dims in segments(tiles, cuts, y, p):
-            counts[tile[0] - 1] += k * n
-            d = e * delta
-            write(lo, hi, s, z + d, (*dims, (d, k)))
-    return k
 
 
 def _check_point(f: Fiet, x) -> Fraction:

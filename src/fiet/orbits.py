@@ -93,12 +93,13 @@ def birkhoff_frequencies(
     At rational lengths every orbit is eventually periodic, and it spends
     most of its steps in translation runs, where its last p steps repeat
     as one translation T^p(y) = y + delta.  The walk crosses each run in
-    closed form (see :func:`fiet.core._walk`): the run's points are arithmetic
-    progressions, monotone, so each is kept inside its tile, and off a
-    flipped tile's left end, by its last term; a periodic orbit (delta =
-    0) jumps straight to its horizon.  A run's window is walked by its own
-    inner runs, to any depth.  Counts and ``max_gap`` stay exact, and the
-    cost grows with the number of runs, not of steps.
+    closed form (see :func:`fiet.window.segments`, which holds the rule):
+    the run's points are arithmetic progressions, monotone, so each is
+    kept inside its tile, and off a flipped tile's left end, by its last
+    term; a periodic orbit (delta = 0) jumps straight to its horizon.  A
+    run's window is walked by the same rule, so inner runs are crossed to
+    any depth.  Counts and ``max_gap`` stay exact, and the cost grows with
+    the number of runs, not of steps.
     """
     if isinstance(horizons, int):
         horizons = (horizons,)

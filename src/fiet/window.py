@@ -1,15 +1,17 @@
-"""A translation run's window, walked by segments: the jump of the orbit walk.
+"""The orbit walk, by segments: every orbit of the package is walked here.
 
-:func:`fiet.core._walk` crosses a translation run of the map by walking its
-window, the p steps from y_0 that T^p moves by delta, twice: once to find
-how many windows K the run crosses, once to write them.  This module walks
-a window by segments instead of steps.  A segment is either one step or an
-inner translation run of the window, found by the walk's own rule and
-crossed in closed form, the same way, to any depth.  So the cost of a
-window grows with the number of runs in it, not with p.
+:func:`segments` walks an orbit of a map compiled into integer tiles by
+segments instead of steps.  A segment is either one step or a translation
+run of the map crossed in closed form: r repetitions of a window of q
+steps that T^q moves by D.  The window is walked by the same function, so
+runs nest to any depth and one rule finds and crosses them all, and the
+cost of a walk grows with the number of runs in it, not with its steps.
+:func:`fiet.core._walk` adds up an orbit's segments into visit counts and
+per-cell extremes (:func:`write`); :func:`crossed` reads a window's
+segments to decide how many repetitions of it the orbit makes.
 
 A segment is ``(tile, z, e, a, b, n, dims)``: n steps in one domain tile,
-all at orientation e (of the window's steps before them, +1 or -1), whose
+all at orientation e (of the walk's steps before them, +1 or -1), whose
 points are the box z + sum(i_j * D_j), 0 <= i_j < r_j, over ``dims =
 ((D_j, r_j), ...)``, with smallest point a and largest b.  A step is the
 box of one point, ``dims = ()``.  The tiles are those of
@@ -24,53 +26,73 @@ from __future__ import annotations
 
 from bisect import bisect_right
 
-_UNSEEN = (-1, 0, 0, 0, 0)
+# A tile not yet visited: a gap of 0, which no visit repeats; its first
+# refused crossing makes it wait one step.
+_UNSEEN = (-1, 0, 0, 0, 0, 0, 1)
 
 
-def segments(tiles, cuts, y, p):
-    """The p steps of the orbit from y, by segments (see the module).
+def segments(tiles, cuts, y, p, t=0, e=1, last=None):
+    """The orbit from y, at step t and orientation e, by segments (see the
+    module), up to step p or to a point where the map is undefined, the
+    left end of a flipped tile.  Returns ``(t, y, e, last)`` where it
+    stopped, which continue the walk when passed back with a later p.
 
-    Per tile the walk keeps the step, point and orientation of the last
-    visit, its gap q from the visit before and that visit's point, as
-    :func:`fiet.core._walk` keeps the last two visits.  When a visit comes
-    q steps after the last, x_1, at the same orientation, and its
-    displacement D = y - x_1 repeats the one before, T^q keeps orientation
-    near x_1 and is y -> y + D wherever the q steps from x_1 + z stay in
-    their tiles.  The walk then crosses r repetitions of that inner window
-    at once, r as large as :func:`crossed` allows within the window's p
-    steps, and yields each segment of the inner window's own walk with one
-    more dimension: a segment at orientation f relative to x_1 moves by f*D
-    per repetition.  Inner windows are walked the same way, so runs nest
-    to any depth.
+    Per tile, ``last`` keeps the step, point and orientation of the last
+    visit, its gap q from the visit before, that visit's point, and when
+    the tile may next try a crossing.  When a
+    visit comes q steps after the last, x_1, and its displacement D = y -
+    x_1 repeats the one before, T^q is y -> y + D wherever the q steps from
+    x_1 + z stay in their tiles, provided it keeps orientation near x_1 or
+    D = 0 (a periodic orbit).  The walk then crosses r repetitions of that
+    window at once, r as large as :func:`crossed` allows before step p,
+    and yields each segment of the window's own walk with one more
+    dimension: a segment at orientation f relative to x_1 moves by f*D per
+    repetition.  A periodic window that reverses orientation is yielded
+    twice, its even and its odd repetitions.  A tile whose crossing is
+    refused waits before it tries again, twice as long after each refusal;
+    this changes only when a run is found, never what a segment holds.
     """
-    # A tile not yet visited has a gap of 0, which no visit repeats.  In the
-    # last two steps a crossing could take only one or two single steps,
-    # which walking them does as cheaply, so no visit is looked up or kept.
-    last = {}
-    t, e = 0, 1
+    if last is None:
+        last = [_UNSEEN] * len(tiles)
     while t < p:
         i = bisect_right(cuts, y) - 1
+        tile = tiles[i]
+        if tile[4] and y == tile[1]:
+            break
+        # In the last two steps a crossing could take only one or two
+        # single steps, which walking them does as cheaply.
         if t < p - 2:
-            t1, x1, e1, q1, x0 = last.get(i, _UNSEEN)
+            t1, x1, e1, q1, x0, ready, wait = last[i]
             q = t - t1
-            if q == q1 and e == e1 and (D := y - x1) == x1 - x0:
+            if (q == q1 and (D := y - x1) == x1 - x0 and (e == e1 or not D)
+                    and t >= ready):
                 r = crossed(tiles, cuts, x1, D, q, (p - t) // q)
                 if r:
+                    # m repetitions at orientation e; when T^q reverses it,
+                    # so that D = 0, the other r - m at -e.
+                    m = r if e == e1 else (r + 1) // 2
                     for tile, z, f, a, b, n, dims in segments(tiles, cuts, x1, q):
                         d = f * D
-                        yield (tile, z + d, e * f, a + min(d, r * d), b + max(d, r * d),
-                               n * r, (*dims, (d, r)))
+                        yield (tile, z + d, e * f, a + min(d, m * d), b + max(d, m * d),
+                               n * m, (*dims, (d, m)))
+                        if m < r:
+                            yield tile, z, -e * f, a, b, n * (r - m), (*dims, (0, r - m))
                     t += r * q
                     y += r * D
+                    # The orientation alternates e, e1, e, ... (e = e1 when
+                    # T^q keeps it), so after r repetitions it is e1 if r is odd.
+                    if r & 1:
+                        e = e1
                     continue
-            last[i] = t, y, e, q, x1
-        tile = tiles[i]
+                ready, wait = t + wait, 2 * wait
+            last[i] = t, y, e, q, x1, ready, wait
         yield tile, y, e, y, y, 1, ()
         if tile[4]:
             y, e = tile[3] - y, -e
         else:
             y += tile[3]
         t += 1
+    return t, y, e, last
 
 
 def crossed(tiles, cuts, y, delta, p, k):

@@ -349,17 +349,17 @@ def small_fiet_and_start_st(draw):
 
 @pytest.fixture
 def jumps(monkeypatch):
-    """(p, steps left, windows crossed, displacement) of each jump taken."""
+    """(p, steps allowed, windows crossed, displacement) of each crossing."""
     taken = []
-    jump = core._jump
+    crossed = window.crossed
 
-    def record(tiles, cuts, y, x, p, left, *rest):
-        k = jump(tiles, cuts, y, x, p, left, *rest)
-        if k:
-            taken.append((p, left, k, x - y))
-        return k
+    def record(tiles, cuts, y, delta, p, k):
+        crossings = crossed(tiles, cuts, y, delta, p, k)
+        if crossings:
+            taken.append((p, k * p, crossings, delta))
+        return crossings
 
-    monkeypatch.setattr(core, "_jump", record)
+    monkeypatch.setattr(window, "crossed", record)
     return taken
 
 
@@ -426,6 +426,27 @@ class TestJumpAhead:
     def test_walk_on_any_grid(self, fx, horizons, s):
         check_walk(*fx, horizons, s)
 
+    def test_periodic_orbit_reversing_orientation(self):
+        # 11 -> 7 -> 3 -> 23 -> 19 -> 15 -> 11 crosses the flipped tile once,
+        # so T^6 is x -> 22 - x near 11: the orbit is periodic, and its
+        # windows alternate in orientation all the way to the horizon.
+        f = Fiet(FietCombinatorics(3, (1, 2, 3), (2, 3, 1), fs(1)), (F(4), F(12), F(10)))
+        check_walk(f, F(11), (5, 13, 300), 0)
+        pt = iterate(f, F(11), 10**12)
+        assert pt == OrbitPoint(F(19), (166666666667, 500000000000, 333333333333))
+
+    def test_refused_crossings_back_off(self, monkeypatch):
+        # The golden-mean rotation's tiles come back at repeating gaps of 1
+        # and 2, but no window of them is ever crossed.  Each refusal
+        # doubles the tile's wait, so 10**5 steps try a few dozen crossings
+        # instead of one every few steps.
+        calls = []
+        crossed = window.crossed
+        monkeypatch.setattr(window, "crossed", lambda *a: calls.append(a) or crossed(*a))
+        f = swap(fs(), (F(1), F(1618033, 1000000)))
+        assert iterate(f, F(0), 10**5).visit_counts == (38197, 61803)
+        assert len(calls) <= 100
+
     def test_coarse_to_fine_rewalk(self, jumps):
         # One period visits every half-integer of [0, 10001): gaps of 1,
         # narrower than a cell of the starting grid, so the start is
@@ -476,6 +497,28 @@ def nested_fiet_and_start_st(draw):
 # steps down tile 2 five or six times between visits to tile 1, so its
 # jump windows (p = 6, delta = 1/6) each hold a run of tile-2 steps.
 NESTED_SWAP = swap(fs(), (F(2, 3), F(7, 2)))
+
+
+# Every tile is flipped: the orbit from 14 reaches 2, tile 2's left end,
+# at step 11 and stops there.
+ALL_FLIPPED = Fiet(
+    FietCombinatorics(3, (1, 2, 3), (3, 1, 2), fs(1, 2, 3)),
+    (F(2), F(5), F(12)),
+)
+
+
+def walk_by_segments(kernel, x, p):
+    """(steps in the segments, steps walked, point reached, orientation)
+    of the walk ``window.segments`` makes from the scaled point x up to
+    step p."""
+    walk = window.segments(kernel.tiles, kernel.cuts, x, p)
+    steps = 0
+    while True:
+        try:
+            steps += next(walk)[5]
+        except StopIteration as stop:
+            done, end, e, _ = stop.value
+            return steps, done, end, e
 
 
 class TestNestedRuns:
@@ -531,6 +574,25 @@ class TestNestedRuns:
             assert (len(points), min(points), max(points)) == (n, a, b)
             got += [(v, tile[0], orientation) for v in points]
         assert sorted(got) == sorted(want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(nested_fiet_and_start_st(), st.integers(1, 3000))
+    @example((ALL_FLIPPED, F(14), 0), 200)
+    # A periodic window that reverses orientation, crossed an odd number of
+    # times: the walk goes on at the opposite orientation.
+    @example((Fiet(FietCombinatorics(4, (1, 2, 3, 4), (2, 3, 4, 1), fs(1, 2)),
+                   (F(4), F(1), F(3), F(35))), F(43, 2), 0), 1363)
+    def test_segments_return_where_the_walk_stops(self, fxs, p):
+        # Run as the top-level walk, segments stops at step p or before a
+        # flipped tile's left end, and returns the steps it walked, the
+        # point it reached and the orientation there.
+        f, start, _ = fxs
+        xs, labels = reference_orbit(f, start, p)
+        kernel = _Tiles(f, (start,))
+        steps, done, end, e = walk_by_segments(kernel, int(start * kernel.scale), p)
+        assert steps == done == len(labels)
+        assert end == xs[done] * kernel.scale
+        assert e == (-1) ** sum(label in f.comb.flips for label in labels)
 
     @settings(max_examples=200, deadline=None)
     @given(
