@@ -92,8 +92,9 @@ def _output(dest: Optional[str]) -> Iterator[TextIO]:
     fails leaves no file behind.  A file is written under a temporary name
     beside it and renamed onto it only once complete, so a failed write
     leaves the destination as it was.  An ``OSError`` on opening, writing or
-    closing becomes a usage error.  A stdout closed by its reader is pointed
-    at the null device, so the interpreter's final flush has nowhere to fail.
+    closing becomes a usage error that names the destination and the
+    error's reason.  A stdout closed by its reader is pointed at the null
+    device, so the interpreter's final flush has nowhere to fail.
     """
     to_stdout = dest is None or dest == "-"
     try:
@@ -128,7 +129,10 @@ def _output(dest: Optional[str]) -> Iterator[TextIO]:
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
-        raise UsageError(f"cannot write {'stdout' if to_stdout else dest}: {exc}") from exc
+        # The error's own text may name the temporary file, whose name holds
+        # the process id, so only its reason is given.
+        raise UsageError(f"cannot write {'stdout' if to_stdout else dest}: "
+                         f"{exc.strerror or exc}") from exc
 
 
 def _schedule_from_args(args) -> ParameterSchedule:

@@ -401,24 +401,51 @@ def _tile_exactly(spans: list[tuple], end: int) -> bool:
 def first_return(f: Fiet, cut: Fraction) -> Fiet:
     """First-return map of f to [0, cut) as an FIET — the induction oracle.
 
-    Independent of any induction case analysis: subintervals of [0, cut) are
-    walked exactly through the map's integer tiles, each carried as one
-    isometry x -> ±x + c, until every piece has returned, then reassembled
-    into an n-interval FIET.  Labels are inherited from the original domain
-    tile containing each piece; when a tile holds two pieces (one label was
-    pushed out beyond the cut), the piece with the larger return time inherits
-    the missing label.  Raises :class:`OracleInapplicable` whenever the data
-    does not assemble into an n-interval exchange under these rules, or after
-    4096 applications of the map.
+    Independent of any induction case analysis: the map's rows are those
+    :func:`_return_rows` assembles on the map's integer tiles, and the
+    returned map is built from them.  Raises :class:`DomainError` unless
+    0 < cut <= L, returns ``f`` itself at cut = L, and raises
+    :class:`OracleInapplicable` whenever the data does not assemble into
+    an n-interval exchange, or after 4096 applications of the map.
     """
     q = Fraction(cut)
     kernel = _Tiles(f, (q,))
-    tiles, cuts, scale = kernel.tiles, kernel.cuts, kernel.scale
-    cut = q.numerator * (scale // q.denominator)
+    cut = q.numerator * (kernel.scale // q.denominator)
     if cut == kernel.L:
         return f
     if not (0 < cut < kernel.L):
-        raise DomainError(f"cut {q} outside (0, {Fraction(kernel.L, scale)}]")
+        raise DomainError(f"cut {q} outside (0, {Fraction(kernel.L, kernel.scale)}]")
+    return _fiet_from_rows(_return_rows(kernel, cut), kernel.scale)
+
+
+def _fiet_from_rows(rows, scale: int) -> Fiet:
+    """The validated FIET of the rows ``(pi0, pi1, flips, widths)``, whose
+    widths are integers at ``scale``."""
+    pi0, pi1, flips, widths = rows
+    return Fiet.from_integers(FietCombinatorics(len(widths), pi0, pi1, flips),
+                              widths, scale)
+
+
+def _return_rows(kernel: _Tiles, cut: int):
+    """The rows of the first-return map of ``kernel``'s map to [0, cut).
+
+    ``cut`` is an integer at the kernel's scale, with 0 < cut < L.
+    Subintervals of [0, cut) are walked exactly through the tiles, each
+    carried as one isometry x -> ±x + c, until every piece has returned,
+    then reassembled into an n-interval exchange.  Labels are inherited
+    from the original domain tile containing each piece; when a tile holds
+    two pieces (one label was pushed out beyond the cut), the piece with
+    the larger return time inherits the missing label.
+
+    Returns ``(pi0, pi1, flips, widths)``: the label rows as tuples, the
+    flip set as a frozenset and ``widths[k - 1]``, label k's width at the
+    kernel's scale; nothing is validated or reduced.  Raises
+    :class:`OracleInapplicable` whenever the data does not assemble into
+    an n-interval exchange under these rules, or after ``_MAX_APPLICATIONS``
+    applications of the map.
+    """
+    tiles, cuts = kernel.tiles, kernel.cuts
+    n = len(tiles)
 
     # A piece is (lo, hi, sign, shift, rtime, home): after rtime applications
     # of the map its points sit in [lo, hi), a point x of [0, cut) at
@@ -456,8 +483,8 @@ def first_return(f: Fiet, cut: Fraction) -> Fiet:
         pieces.append((lo, mid, sign, shift, rtime, home))
         pieces.append((mid, hi, sign, shift, rtime, home))
 
-    if len(done) != f.n:
-        raise OracleInapplicable(f"return map has {len(done)} pieces, expected {f.n}")
+    if len(done) != n:
+        raise OracleInapplicable(f"return map has {len(done)} pieces, expected {n}")
 
     # Each piece's domain, read off its isometry; exact tilings of [0, cut)
     # in both domain and final positions.
@@ -479,7 +506,7 @@ def first_return(f: Fiet, cut: Fraction) -> Fiet:
     by_home: dict[int, list[tuple]] = {}
     for _, _, p in domains:
         by_home.setdefault(p[5], []).append(p)
-    missing = [k for k in range(1, f.n + 1) if k not in by_home]
+    missing = [k for k in range(1, n + 1) if k not in by_home]
     labels: dict[int, int] = {}
     for home, ps in by_home.items():
         if len(ps) == 1:
@@ -499,10 +526,11 @@ def first_return(f: Fiet, cut: Fraction) -> Fiet:
                 f"with {len(missing)} labels missing"
             )
 
-    # Exact-size tuples, as in Fiet.__init__; the widths at the map's scale.
-    new_pi0 = tuple([labels[p[0]] for _, _, p in domains])
-    new_pi1 = tuple([labels[p[0]] for p in done])
-    new_flips = frozenset(labels[p[0]] for p in done if p[2] == -1)
-    widths = {labels[p[0]]: p[1] - p[0] for p in done}
-    comb = FietCombinatorics(f.n, new_pi0, new_pi1, new_flips)
-    return Fiet.from_integers(comb, [widths[k] for k in range(1, f.n + 1)], scale)
+    # Exact-size tuples, as in Fiet.__init__.
+    widths = [0] * n
+    for p in done:
+        widths[labels[p[0]] - 1] = p[1] - p[0]
+    return (tuple([labels[p[0]] for _, _, p in domains]),
+            tuple([labels[p[0]] for p in done]),
+            frozenset([labels[p[0]] for p in done if p[2] == -1]),
+            widths)

@@ -21,11 +21,12 @@ from .core import (
     Fiet,
     FietCombinatorics,
     Record,
+    _fiet_from_rows,
+    _return_rows,
     _Tiles,
     _walk,
     domain_partition,
     exact_int,
-    first_return,
 )
 from .induction import rauzy_step
 
@@ -162,6 +163,15 @@ def oracle_crosscheck(trials: int, seed: int = 0) -> dict:
     length-driven induction step, and independently computes the first-return
     map to [0, L - loser_length) geometrically.  The two results must be
     identical labeled data.
+
+    A trial is decided on integers: the return map's rows, as
+    :func:`fiet.core._return_rows` assembles them at the scale ``2 * f.den``
+    of ``f``'s tiles, against the step's rows, its lengths cross-multiplied
+    (:func:`_rows_match`).  The step's rows were validated when its map was
+    built, so rows equal to them are a valid map too.  Only a failing trial
+    builds the returned map, and records it beside the step's, the map
+    :func:`fiet.core.first_return` returns for that cut; rows that raise,
+    or make no valid map, are recorded by the ``repr`` of their error.
     """
     rng = random.Random(seed)
     failures = []
@@ -169,17 +179,28 @@ def oracle_crosscheck(trials: int, seed: int = 0) -> dict:
         f = _random_fiet(rng)
         nums = f.nums
         lt, lb = nums[f.comb.pi0[-1] - 1], nums[f.comb.pi1[-1] - 1]
-        cut = Fraction(sum(nums) - min(lt, lb), f.den)
         stepped, _ = rauzy_step(f)
         try:
-            returned = first_return(f, cut)
+            kernel = _Tiles(f)
+            rows = _return_rows(kernel, 2 * (sum(nums) - min(lt, lb)))
+            if _rows_match(rows, kernel.scale, stepped):
+                continue
+            returned = _fiet_from_rows(rows, kernel.scale)
         except Exception as exc:  # noqa: BLE001 - recorded, not silenced
             failures.append({"trial": trial, "fiet": f, "error": repr(exc)})
             continue
-        if stepped != returned:
-            failures.append({"trial": trial, "fiet": f,
-                             "stepped": stepped, "returned": returned})
+        failures.append({"trial": trial, "fiet": f,
+                         "stepped": stepped, "returned": returned})
     return {"trials": trials, "passes": trials - len(failures), "failures": failures}
+
+
+def _rows_match(rows, scale: int, g: Fiet) -> bool:
+    """True iff the rows ``(pi0, pi1, flips, widths)``, widths at ``scale``,
+    are ``g``'s label rows, flip set and lengths."""
+    pi0, pi1, flips, widths = rows
+    comb, den = g.comb, g.den
+    return (pi0 == comb.pi0 and pi1 == comb.pi1 and flips == comb.flips
+            and [w * den for w in widths] == [v * scale for v in g.nums])
 
 
 def _random_fiet(rng: random.Random) -> Fiet:

@@ -1,10 +1,12 @@
 """End-to-end tests of the command-line interface via ``main(argv)``."""
 
+import errno
 import hashlib
 import importlib
 import io
 import json
 import os
+import random
 import resource
 import runpy
 import subprocess
@@ -28,7 +30,7 @@ from fiet import (
     limit_vectors,
     rauzy_step,
 )
-from fiet import orbits, serialize
+from fiet import core, orbits, serialize
 from fiet.cli import main
 from fiet.serialize import (
     FREQUENCY_CSV_HEADER,
@@ -548,6 +550,34 @@ class TestOracle:
         code, out, err = run(capsys, ["oracle", "--trials", "5", "--seed", "-3"])
         assert (code, out, err) == (2, "", "error: --seed must be >= 0\n")
 
+    def test_mismatch_exits_one_with_each_trial(self, capsys, monkeypatch):
+        real = orbits.rauzy_step
+
+        def off_by_one(f):
+            stepped, out = real(f)
+            nums = list(stepped.nums)
+            nums[-1] += 1
+            return Fiet.from_integers(stepped.comb, nums, stepped.den), out
+
+        monkeypatch.setattr(orbits, "rauzy_step", off_by_one)
+        code, out, err = run(capsys, ["oracle", "--trials", "3"])
+        rng = random.Random(0)
+        assert (code, err) == (1, "")
+        assert json.loads(out) == {"trials": 3, "passes": 0, "failures": [
+            {"trial": t, "fiet": fiet_to_dict(orbits._random_fiet(rng)),
+             "detail": "step/return mismatch"} for t in range(3)
+        ]}
+
+    def test_inapplicable_return_exits_one_with_its_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(core, "_MAX_APPLICATIONS", 0)
+        code, out, err = run(capsys, ["oracle", "--trials", "2", "--seed", "5"])
+        rng = random.Random(5)
+        assert (code, err) == (1, "")
+        assert json.loads(out) == {"trials": 2, "passes": 0, "failures": [
+            {"trial": t, "fiet": fiet_to_dict(orbits._random_fiet(rng)),
+             "detail": "OracleInapplicable('iteration budget exhausted')"} for t in range(2)
+        ]}
+
 
 class TestInputErrors:
     @pytest.mark.parametrize("argv", [
@@ -703,6 +733,13 @@ class TestOutputErrors:
         assert out == ""
         assert err.startswith(f"error: cannot write {dest}: ")
         assert err.count("\n") == 1
+
+    def test_out_error_names_only_the_destination(self, capsys, tmp_path):
+        # The temporary file beside the destination carries the process id,
+        # so naming it would make the message differ from run to run.
+        dest = str(tmp_path / "missing" / "x.json")
+        assert run(capsys, ["oracle", "--trials", "5", "--out", dest]) == (
+            2, "", f"error: cannot write {dest}: {os.strerror(errno.ENOENT)}\n")
 
     @pytest.mark.parametrize("argv", [
         ["oracle", "--trials", "3"],

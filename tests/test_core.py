@@ -788,6 +788,31 @@ class TestFirstReturn:
         stepped, _ = rauzy_step(f)
         assert first_return(f, cut) == stepped
 
+    @settings(max_examples=150, deadline=None)
+    @given(steppable_fiets_st(), st.integers(0, 2))
+    def test_row_verdict_matches_map_verdict(self, f, change):
+        # The oracle decides a trial on the return map's integer rows at the
+        # scale of f's tiles: they match a map exactly when the map that
+        # first_return builds from them equals it.  The step is correct, so
+        # a length or a flip changed in it shows the other side.
+        loser = min(f.nums[f.comb.pi0[-1] - 1], f.nums[f.comb.pi1[-1] - 1])
+        kernel = _Tiles(f)
+        assert kernel.scale == 2 * f.den
+        rows = core._return_rows(kernel, 2 * (sum(f.nums) - loser))
+        returned = first_return(f, F(sum(f.nums) - loser, f.den))
+        assert returned == core._fiet_from_rows(rows, kernel.scale)
+        g, _ = rauzy_step(f)
+        if change == 1:
+            g = Fiet.from_integers(g.comb, [v + (k == 0) for k, v in enumerate(g.nums)],
+                                   g.den)
+        elif change == 2:
+            c = g.comb
+            g = Fiet.from_integers(FietCombinatorics(c.n, c.pi0, c.pi1,
+                                                     c.flips ^ {c.pi0[0]}),
+                                   g.nums, g.den)
+        assert orbits._rows_match(rows, kernel.scale, g) == (returned == g)
+        assert (returned == g) == (change == 0)
+
 
 class TestIrreducible:
     def test_full_cycle_is_irreducible(self):

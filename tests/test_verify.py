@@ -30,6 +30,7 @@ from fiet import (
     check_lemma4,
     check_separation,
     checked_levels,
+    first_return,
     frequency_l1_gaps,
     iterate,
     l1_distance,
@@ -587,6 +588,65 @@ class TestOracleCrosscheck:
 
     def test_seed_reproducibility(self):
         assert oracle_crosscheck(25, seed=7) == oracle_crosscheck(25, seed=7)
+
+    @staticmethod
+    def lengthen_one_step_length(monkeypatch):
+        # A step that returns the right rows with one length changed.
+        real = fiet.orbits.rauzy_step
+
+        def off_by_one(f):
+            stepped, out = real(f)
+            nums = list(stepped.nums)
+            nums[0] += 1
+            return Fiet.from_integers(stepped.comb, nums, stepped.den), out
+
+        monkeypatch.setattr(fiet.orbits, "rauzy_step", off_by_one)
+        return real, off_by_one
+
+    @staticmethod
+    def cut_of(f):
+        lt, lb = f.length_of(f.comb.pi0[-1]), f.length_of(f.comb.pi1[-1])
+        return f.total_length - min(lt, lb)
+
+    def test_mismatch_records_step_and_return(self, monkeypatch):
+        real, off_by_one = self.lengthen_one_step_length(monkeypatch)
+        out = oracle_crosscheck(5, seed=2)
+        assert (out["trials"], out["passes"]) == (5, 0)
+        rng = random.Random(2)
+        for trial, item in enumerate(out["failures"]):
+            f = _random_fiet(rng)
+            assert list(item) == ["trial", "fiet", "stepped", "returned"]
+            assert (item["trial"], item["fiet"]) == (trial, f)
+            assert item["stepped"] == off_by_one(f)[0]
+            assert item["returned"] == first_return(f, self.cut_of(f))
+            assert item["returned"] == real(f)[0]
+        assert [item["trial"] for item in out["failures"]] == list(range(5))
+
+    def test_exhausted_budget_records_the_error(self, monkeypatch):
+        monkeypatch.setattr(fiet.core, "_MAX_APPLICATIONS", 0)
+        out = oracle_crosscheck(4, seed=1)
+        rng = random.Random(1)
+        assert out == {"trials": 4, "passes": 0, "failures": [
+            {"trial": t, "fiet": _random_fiet(rng),
+             "error": "OracleInapplicable('iteration budget exhausted')"}
+            for t in range(4)
+        ]}
+
+    def test_invalid_return_rows_record_the_value_error(self, monkeypatch):
+        # Rows that do not make a map are recorded by the ValueError they
+        # raise; only a failing trial builds the returned map's objects.
+        self.lengthen_one_step_length(monkeypatch)
+
+        def reject(*args):
+            raise ValueError("rows rejected")
+
+        monkeypatch.setattr(fiet.core, "FietCombinatorics", reject)
+        out = oracle_crosscheck(3, seed=1)
+        rng = random.Random(1)
+        assert out == {"trials": 3, "passes": 0, "failures": [
+            {"trial": t, "fiet": _random_fiet(rng), "error": "ValueError('rows rejected')"}
+            for t in range(3)
+        ]}
 
     def test_seed_draws_the_same_fiets(self):
         # Which maps a seed checks is part of its meaning: a rewrite of
