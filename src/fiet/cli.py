@@ -29,6 +29,8 @@ from typing import Iterator, Optional, TextIO
 from . import serialize
 from .construction import (
     FAMILIES,
+    NAMED_SCHEDULES,
+    RULES,
     ParameterSchedule,
     PathParameters,
     ResourceLimitError,
@@ -339,7 +341,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _add_schedule_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--mode", choices=("relaxed", "strict"), default="relaxed",
+    p.add_argument("--mode", choices=tuple(NAMED_SCHEDULES), default="relaxed",
                    help="named parameter schedule (default: relaxed)")
     p.add_argument("--config", help="JSON schedule file overriding --mode")
     p.add_argument("--depth", type=int, default=3,
@@ -349,9 +351,9 @@ def _add_schedule_flags(p: argparse.ArgumentParser) -> None:
                         "verify reference)")
     p.add_argument("--d", type=int, help="override the growth ratio d")
     p.add_argument("--p1", type=int, help="override the copy-1 parameter p1")
-    p.add_argument("--p4-rule", dest="p4_rule", choices=("p1", "p2", "p3"),
+    p.add_argument("--p4-rule", dest="p4_rule", choices=RULES,
                    help="which parameter the p4 run copies")
-    p.add_argument("--p5-rule", dest="p5_rule", choices=("p1", "p2", "p3"),
+    p.add_argument("--p5-rule", dest="p5_rule", choices=RULES,
                    help="which parameter the p5 run copies")
 
 
@@ -368,7 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="FIET JSON file ('-' for stdin, default)")
     p.add_argument("--letter", choices=("a", "b"),
                    help="force this step type instead of comparing lengths")
-    p.add_argument("--out", help="output file (default: stdout)")
     p.set_defaults(func=_cmd_step)
 
     p = sub.add_parser("path", help="thread a letter word through combinatorics")
@@ -382,14 +383,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--induced",
                    help="comma-separated labels: also report both rows "
                         "restricted to these labels")
-    p.add_argument("--out", help="output file (default: stdout)")
     p.set_defaults(func=_cmd_path)
 
     p = sub.add_parser("construct", help="limit length vectors after m blocks")
     _add_schedule_flags(p)
     p.add_argument("--precision", type=int, default=12,
                    help="decimal digits in the report (default 12)")
-    p.add_argument("--out", help="output file (default: stdout)")
     p.set_defaults(func=_cmd_construct, family="computed")
 
     p = sub.add_parser("verify", help="run the full verification pipeline")
@@ -400,7 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="denominator bound for the lambda2 tower (default 34)")
     p.add_argument("--no-matrix-report", action="store_true",
                    help="skip the matrix fidelity section")
-    p.add_argument("--out", help="output file (default: stdout)")
     p.set_defaults(func=_cmd_verify, family="reference")
 
     p = sub.add_parser("simulate", help="exact Birkhoff frequencies of the map")
@@ -415,16 +413,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated orbit lengths (default: 100000)")
     p.add_argument("--precision", type=int, default=12,
                    help="decimal digits in the CSV (default 12)")
-    p.add_argument("--out", help="output file (default: stdout)")
     p.set_defaults(func=_cmd_simulate, family="computed")
 
     p = sub.add_parser("oracle", help="randomized induction/first-return crosscheck")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0,
                    help="non-negative seed of the random maps (default 0)")
-    p.add_argument("--out", help="output file (default: stdout)")
     p.set_defaults(func=_cmd_oracle)
 
+    for p in sub.choices.values():
+        p.add_argument("--out", help="output file (default: stdout)")
     return parser
 
 

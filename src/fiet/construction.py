@@ -215,6 +215,10 @@ def reference_row_sums(t: PathParameters) -> tuple[int, ...]:
     )
 
 
+# The parameters the runs p4 and p5 may copy: the choices of a schedule's
+# p4_rule and p5_rule.
+RULES = ("p1", "p2", "p3")
+
 # The named schedules: each label's own d, p1_1 and rules.
 NAMED_SCHEDULES = {
     "relaxed": {"d": 128, "p1_1": 256, "p4_rule": "p2", "p5_rule": "p1"},
@@ -227,8 +231,8 @@ class ParameterSchedule(Record):
 
     Copy j (1-based) uses p1 = p1_1 * d**(3*(j-1)), p2 = d * p1, p3 = d * p2,
     so consecutive copies satisfy p1^(j+1) = d * p3^(j).  The runs p4 and p5
-    are tied to the others by ``p4_rule`` / ``p5_rule`` (one of "p1", "p2",
-    "p3"); they influence the dynamics but not the reference matrices.
+    are tied to the others by ``p4_rule`` / ``p5_rule`` (one of
+    :data:`RULES`); they influence the dynamics but not the reference matrices.
     ``mode`` is "custom" or the name of the :data:`NAMED_SCHEDULES` entry
     whose values the schedule has.
     """
@@ -249,8 +253,9 @@ class ParameterSchedule(Record):
             raise ValueError("p1_1 must be >= 1")
         values = {"d": d, "p1_1": p1_1, "p4_rule": p4_rule, "p5_rule": p5_rule}
         for name in ("p4_rule", "p5_rule"):
-            if values[name] not in ("p1", "p2", "p3"):
-                raise ValueError(f"{name} must be one of 'p1', 'p2', 'p3'")
+            if values[name] not in RULES:
+                raise ValueError(f"{name} must be one of "
+                                 f"{', '.join(map(repr, RULES))}")
         if mode != "custom" and NAMED_SCHEDULES.get(mode) != values:
             raise ValueError(
                 f"mode must be 'custom', or a name in {sorted(NAMED_SCHEDULES)} "
@@ -277,9 +282,8 @@ class ParameterSchedule(Record):
         return (p1, self.d * p1, self.d * self.d * p1)
 
     def params(self, j: int) -> PathParameters:
-        p1, p2, p3 = self.p_triple(j)
-        by_rule = {"p1": p1, "p2": p2, "p3": p3}
-        return PathParameters(p1, p2, p3, by_rule[self.p4_rule], by_rule[self.p5_rule])
+        p, rule = self.p_triple(j), RULES.index
+        return PathParameters(*p, p[rule(self.p4_rule)], p[rule(self.p5_rule)])
 
     def validity(self, b: int = 34) -> dict[str, bool]:
         """Each named size condition used by the inequality suite, evaluated

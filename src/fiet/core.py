@@ -237,24 +237,18 @@ class OrbitPoint(Record):
     visit_counts: tuple[int, ...]
 
 
-def _partition(order: Sequence[int], lengths: Sequence):
-    """Tiles [(label, lo, hi), ...] for the given label order, from 0."""
-    tiles, lo = [], Fraction(0)
-    for label in order:
-        hi = lo + lengths[label - 1]
-        tiles.append((label, lo, hi))
-        lo = hi
-    return tiles
-
-
 def domain_partition(f: Fiet) -> list[tuple[int, Fraction, Fraction]]:
-    """Half-open domain tiles [(label, lo, hi), ...] tiling [0, L) left to right."""
-    return _partition(f.comb.pi0, f.lengths)
+    """Half-open domain tiles [(label, lo, hi), ...] tiling [0, L) left to
+    right: the tiles of :class:`_Tiles`, each end a ``Fraction``."""
+    kernel = _Tiles(f)
+    return [(label, Fraction(u, kernel.scale), Fraction(u + lam, kernel.scale))
+            for label, u, lam, _, _ in kernel.tiles]
 
 
 def range_partition(f: Fiet) -> list[tuple[int, Fraction, Fraction]]:
-    """Half-open range tiles [(label, lo, hi), ...] tiling [0, L) left to right."""
-    return _partition(f.comb.pi1, f.lengths)
+    """Half-open range tiles [(label, lo, hi), ...] tiling [0, L) left to
+    right: the domain tiles of the inverse map."""
+    return domain_partition(f.inverse())
 
 
 class _Tiles:
@@ -265,7 +259,10 @@ class _Tiles:
     (x -> a + b - x) are all integers.  ``tiles[i] = (label, u, lam, c,
     flipped)``: domain tile i is [u, u + lam) and maps x to its image offset
     plus or minus x, ``c + x`` or, when flipped, ``c - x``; ``cuts`` holds
-    the u's and ``L`` the scaled total length.
+    the u's and ``L`` the scaled total length.  These are the map's only
+    tiles: :func:`domain_partition`, :func:`range_partition` and
+    :func:`fiet.orbits.midpoint_starts` read their ``Fraction`` ends off
+    them.
     """
 
     def __init__(self, f: Fiet, points: Iterable[Fraction] = ()):

@@ -25,7 +25,6 @@ from .core import (
     _return_rows,
     _Tiles,
     _walk,
-    domain_partition,
     exact_int,
 )
 from .induction import rauzy_step
@@ -55,7 +54,9 @@ class FrequencyReport(Record):
 
 def midpoint_starts(f: Fiet) -> tuple[Fraction, ...]:
     """Midpoints of the domain subintervals — generic starting points."""
-    return tuple((lo + hi) / 2 for _, lo, hi in domain_partition(f))
+    kernel = _Tiles(f)
+    return tuple([Fraction(2 * u + lam, 2 * kernel.scale)
+                  for _, u, lam, _, _ in kernel.tiles])
 
 
 def birkhoff_frequencies(
@@ -182,7 +183,8 @@ def oracle_crosscheck(trials: int, seed: int = 0) -> dict:
         stepped, _ = rauzy_step(f)
         try:
             kernel = _Tiles(f)
-            rows = _return_rows(kernel, 2 * (sum(nums) - min(lt, lb)))
+            cut = (sum(nums) - min(lt, lb)) * (kernel.scale // f.den)
+            rows = _return_rows(kernel, cut)
             if _rows_match(rows, kernel.scale, stepped):
                 continue
             returned = _fiet_from_rows(rows, kernel.scale)

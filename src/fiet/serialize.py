@@ -159,23 +159,16 @@ def record_to_dict(r: InequalityRecord) -> dict:
 
 
 def schedule_to_dict(s: ParameterSchedule) -> dict:
-    return {
-        "d": s.d,
-        "p1_1": s.p1_1,
-        "p4_rule": s.p4_rule,
-        "p5_rule": s.p5_rule,
-        "mode": s.mode,
-    }
-
-
-_SCHEDULE_KEYS = frozenset({"d", "p1_1", "p4_rule", "p5_rule", "mode"})
+    return {name: getattr(s, name) for name in s._fields}
 
 
 def schedule_from_dict(d: dict) -> ParameterSchedule:
-    """The schedule a config file describes; a key it does not know is an error."""
+    """The schedule a config file describes; a key it does not know is an
+    error, and one it leaves out takes the :class:`ParameterSchedule`
+    default."""
     if not isinstance(d, dict):
         raise TypeError("a schedule config must be a JSON object")
-    unknown = set(d) - _SCHEDULE_KEYS
+    unknown = set(d).difference(ParameterSchedule._fields)
     if unknown:
         raise ValueError(f"unknown schedule key(s) {sorted(unknown)}")
     if "mode" in d and set(d) <= {"mode"}:
@@ -183,13 +176,7 @@ def schedule_from_dict(d: dict) -> ParameterSchedule:
     if missing := {"d", "p1_1"} - set(d):
         raise ValueError(f"missing schedule key(s) {sorted(missing)}; "
                          "a config with 'mode' alone is the other valid form")
-    return ParameterSchedule(
-        d=d["d"],
-        p1_1=d["p1_1"],
-        p4_rule=d.get("p4_rule", "p2"),
-        p5_rule=d.get("p5_rule", "p1"),
-        mode=d.get("mode", "custom"),
-    )
+    return ParameterSchedule(**d)
 
 
 def named_schedule(mode: str) -> ParameterSchedule:

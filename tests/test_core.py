@@ -3,6 +3,7 @@
 import functools
 import math
 import signal
+import types
 from decimal import Decimal
 from fractions import Fraction as F
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import fiet
 from conftest import combinatorics_st, fiets_st, steppable_fiets_st
 from fiet import core, orbits, verify, window
 from fiet.core import Record, _Tiles, replace
@@ -1285,3 +1287,26 @@ class TestRecord:
         assert hash(f.inverse().inverse()) == hash(f)
         assert f.inverse().comb == FietCombinatorics(c.n, c.pi1, c.pi0, c.flips)
         assert replace(f, comb=c.swapped()) == f.inverse()
+
+
+class TestExports:
+    def test_the_export_list_is_the_imported_public_names(self):
+        names = fiet.__all__
+        assert len(names) == len(set(names))
+        assert names[-1] == "__version__"
+        for name in names:
+            assert not isinstance(getattr(fiet, name), types.ModuleType), name
+        public = {name for name, value in vars(fiet).items()
+                  if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+        assert public == set(names) - {"__version__"}
+
+    def test_star_import_binds_exactly_the_export_list(self):
+        namespace = {}
+        exec("from fiet import *", namespace)
+        del namespace["__builtins__"]
+        assert sorted(namespace) == sorted(fiet.__all__)
+
+    def test_the_readme_import_works(self):
+        namespace = {}
+        exec("from fiet import Fiet, FietCombinatorics, evaluate, iterate", namespace)
+        assert namespace["iterate"] is iterate

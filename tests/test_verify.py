@@ -335,6 +335,20 @@ class TestTowers:
             expected[j] = vec
         assert tower_vectors(schedule, seed, 6, family) == expected
 
+    @pytest.mark.parametrize("family", ["reference", "computed"])
+    @pytest.mark.parametrize("schedule", [ParameterSchedule.relaxed(),
+                                          ParameterSchedule.strict(), SMALL],
+                             ids=["relaxed", "strict", "small"])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_level1_vectors_are_the_limit_columns(self, m, schedule, family):
+        # limit_vectors multiplies the copies from the first (a prefix
+        # product); a tower recurses from its seed level down (a suffix
+        # recursion).  Both give the normalized seed columns of the product.
+        vectors = lemma_towers(schedule, m, family=family)["vectors"]
+        report = limit_vectors(schedule, m, family)
+        for key in ("lambda2", "lambda5", "lambda7"):
+            assert getattr(report, key) == vectors[key], key
+
     def test_checked_levels(self):
         assert BURN_IN_LEVELS == 2
         assert checked_levels(1) == (1,)
