@@ -42,6 +42,7 @@ from .construction import (
     PathParameters,
     ResourceLimitError,
     SEED_LABELS,
+    Tower,
     base_datum,
     build_path,
     cycle_states,
@@ -52,7 +53,6 @@ from .construction import (
     reference_column_sums,
     reference_row_sums,
     reference_theta,
-    theta_block,
     theta_copy,
     theta_gamma_p,
 )

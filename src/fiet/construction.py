@@ -18,7 +18,8 @@ and the polynomial is multilinear; gamma's from the base state, M0, has
 nine terms: 1, p1..p5, p1*p2, p1*p3 and p4*p5.  A step never looks at label
 names, so from cycle state k (the base relabelled by sigma^k) gamma gives
 P^k M0 P^-k with P e_j = e_sigma(j), and a computed block is the product of
-M0(p_j) P over its three copies.
+M0(p_j) P over its three copies.  One :class:`Tower` holds a run's copy
+matrices, its blocks and its level recursion.
 
 The **computed** family, (gamma, cycle state), drives length-driven
 induction along the path letter for letter and gives the limit lengths,
@@ -40,6 +41,7 @@ from typing import Mapping, Optional, Sequence
 
 from .core import FietCombinatorics, FietError, Record, exact_int
 from .induction import RauzyPath, TransitionMatrix, apply_path, thread_runs
+from .twins import mat_vec as decimal_mat_vec
 
 N_LABELS = 8
 BASE_PI0 = (1, 2, 3, 4, 5, 6, 7, 8)
@@ -325,21 +327,56 @@ def theta_copy(
     return polynomial_at(base_copy(runs, start)[0], schedule.params(j))
 
 
-def theta_block(
-    schedule: ParameterSchedule, i: int, family: str = "computed"
-) -> TransitionMatrix:
-    """Product matrix of block i = copies 3i-2, 3i-1, 3i (returns to base state).
+class Tower:
+    """The copy matrices theta_1..theta_J (J = ``copies``) of one family
+    under one schedule: the renormalization tower of one run.
 
-    For the computed family, P^3 = I makes this the product of M0(p_j) P over
-    the block's three copies j.
+    ``theta(j)`` is made by :func:`theta_copy` once, when first read, after
+    the copies before it, so a reader that stops early builds no later copy.
+    ``block(i)`` is theta_(3i-2) theta_(3i-1) theta_(3i).  ``levels(seed)``
+    is the level recursion w_j = theta_j w_(j+1) from w_(J+1) = ``seed``
+    down to level 1.  A computed level j is in the frame of cycle state
+    j-1: P^(j-1) A_j ... A_J w_(J+1) with A_j = M0(p_j) P.  From the seed
+    (1, ..., 1), level k+1 is the integer lengths of F_k, the map of cycle
+    state k mod 3.  A test walks each computed copy k on the map: from two
+    points of each tile a of F_k, F_(k-1) counts column a of theta_k and
+    ends at F_k's image.  The reference tower passes at copy 1 only.
     """
-    if i < 1:
-        raise ValueError("block index is 1-based")
-    first = COPIES_PER_BLOCK * (i - 1) + 1
-    total = TransitionMatrix.identity(N_LABELS)
-    for j in range(first, first + COPIES_PER_BLOCK):
-        total = total @ theta_copy(schedule, j, family)
-    return total
+
+    def __init__(self, schedule: ParameterSchedule, copies: int,
+                 family: str = "computed") -> None:
+        if copies < 1:
+            raise ValueError("copies must be >= 1")
+        self.schedule, self.copies, self.family = schedule, copies, family
+        self._thetas: list[TransitionMatrix] = []
+
+    def theta(self, j: int) -> TransitionMatrix:
+        if not 1 <= j <= self.copies:
+            raise ValueError(f"copy index must be in 1..{self.copies}, got {j}")
+        while len(self._thetas) < j:
+            self._thetas.append(
+                theta_copy(self.schedule, len(self._thetas) + 1, self.family))
+        return self._thetas[j - 1]
+
+    def block(self, i: int) -> TransitionMatrix:
+        first = COPIES_PER_BLOCK * (i - 1) + 1
+        return self.theta(first) @ self.theta(first + 1) @ self.theta(first + 2)
+
+    def levels(self, seed: int | Sequence[int]):
+        """Yields ``(j, w_j, dec_j)`` for j = J+1 .. 1, seeded at basis
+        vector ``seed`` (a label) or at the integer vector ``seed``; dec_j
+        is w_j's exact decimal twin, made by the same product (see
+        :mod:`fiet.twins`)."""
+        if isinstance(seed, int):
+            if not 1 <= seed <= N_LABELS:
+                raise ValueError(f"seed must be a label in 1..{N_LABELS}")
+            seed = tuple(int(k == seed) for k in range(1, N_LABELS + 1))
+        w = dec = tuple(seed)
+        yield self.copies + 1, w, dec
+        for j in range(self.copies, 0, -1):
+            matrix = self.theta(j)
+            w, dec = matrix.mat_vec(w), decimal_mat_vec(matrix.rows, dec)
+            yield j, w, dec
 
 
 def integer_coordinates(vec: Sequence) -> tuple[tuple[int, ...], int]:
@@ -413,13 +450,15 @@ def limit_vectors(
     largest pairwise L1 distance between the eight normalized columns — the
     exact diameter of the image of the whole simplex.
 
-    Raises :class:`ResourceLimitError` (carrying a partial report over the
-    blocks completed so far) if any matrix entry would exceed
-    ``max_entry_bits`` bits.
+    Before each further block, raises :class:`ResourceLimitError`
+    (carrying the report over the blocks so far) if an entry of the product
+    so far has more than ``max_entry_bits`` bits: block 1 is always
+    reported, the final product is not checked, and no later copy is built.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    total = theta_block(schedule, 1, family)
+    tower = Tower(schedule, COPIES_PER_BLOCK * m, family)
+    total = tower.block(1)
     for i in range(2, m + 1):
         bits = max(e.bit_length() for row in total.rows for e in row)
         if bits > max_entry_bits:
@@ -428,7 +467,7 @@ def limit_vectors(
                 f"(budget {max_entry_bits}); partial report attached",
                 partial=_report_from_product(total, i - 1, family),
             )
-        total = total @ theta_block(schedule, i, family)
+        total = total @ tower.block(i)
     return _report_from_product(total, m, family)
 
 

@@ -11,17 +11,11 @@ by the sign of a cross-multiplied integer, and its sides and margin become
 as an exact decimal twin (:mod:`fiet.twins`), from which the report takes
 the digits of those values.
 
-Tower convention: with J = 3m copies scheduled, the level-j vector is the
-normalized image of the seed basis vector under the copy matrices j..J
-(applied right to left).  Levels J-1 and J are start-up artifacts of the
-finite seed, so a depth-m run checks levels 1..3m-2.  Copy j's matrix is
-its family's word threaded from the state copy j starts on
-(:data:`fiet.construction.FAMILIES`), so a computed level-j vector is in
-the frame of cycle state j-1: it is P^(j-1) A_j ... A_J e_seed with A_j =
-M0(p_j) P.  A test walks each computed copy k on the map: with F_k the map
-of cycle state k mod 3 and lengths theta_(k+1) ... theta_J (1, ..., 1),
-from two points of each tile a of F_k, F_(k-1) counts column a of theta_k
-and ends at F_k's image.  The reference tower passes at copy 1 only.
+Towers: a depth-m run reads the J = 3m copies of one
+:class:`fiet.construction.Tower`; the level-j vector is the normalized image
+of the seed basis vector under the copy matrices j..J (applied right to
+left).  Levels J-1 and J are start-up artifacts of the finite seed, so a
+depth-m run checks levels 1..3m-2.
 """
 
 from __future__ import annotations
@@ -31,17 +25,16 @@ from fractions import Fraction
 from typing import Optional
 
 from .core import Record, _set
-from .induction import TransitionMatrix
 from .construction import (
     COPIES_PER_BLOCK,
     N_LABELS,
     ParameterSchedule,
     PathParameters,
+    Tower,
     integer_coordinates,
     l1_cross,
     matrix_fidelity_report,
     reference_column_sums,
-    theta_copy,
 )
 # The orbit statistics and the oracle cross-check, importable from here too.
 from .orbits import (  # noqa: F401
@@ -53,7 +46,7 @@ from .orbits import (  # noqa: F401
     midpoint_starts,
     oracle_crosscheck,
 )
-from .twins import Twin, fraction, twin_vector, with_twins, mat_vec as decimal_mat_vec
+from .twins import Twin, fraction, twin_vector, with_twins
 
 BURN_IN_LEVELS = 2  # levels J-1, J are finite-seed start-up artifacts
 
@@ -336,43 +329,18 @@ def _lemma4(x, b, t, build):
     return records
 
 
-def _tower(matrices: Sequence[TransitionMatrix], seed: int):
-    """The tower recursion, from the seed level down to level 1.
-
-    Yields ``(j, w_j, dec_j)`` for j = J+1 .. 1, where J = len(matrices),
-    w_(J+1) is basis vector ``seed``, w_j = M_j * w_(j+1) with M_j =
-    ``matrices[j - 1]``, and dec_j is w_j's exact decimal twin, made by the
-    same product (see :mod:`fiet.twins`).
-    """
-    w = dec = tuple(int(k == seed) for k in range(1, N_LABELS + 1))
-    j = len(matrices) + 1
-    yield j, w, dec
-    for matrix in reversed(matrices):
-        j -= 1
-        w, dec = matrix.mat_vec(w), decimal_mat_vec(matrix.rows, dec)
-        yield j, w, dec
-
-
 def tower_vectors(
     schedule: ParameterSchedule,
     seed: int,
     copies: int,
     family: str = "reference",
 ) -> dict[int, tuple[Fraction, ...]]:
-    """Level vectors of the tower seeded at basis vector ``seed``.
-
-    Returns {level j: x^(j)} for j = 1..copies+1, where x^(copies+1) is the
-    seed itself and x^(j) = normalize(M_j * x^(j+1)) with M_j the copy-j
-    matrix of the chosen family.  Normalizing is scale-invariant, so the
-    recursion runs on the unnormalized integer vectors w_j = M_j * w_(j+1)
-    and each level is emitted as w_j / sum(w_j).
+    """Level vectors of the tower seeded at basis vector ``seed``:
+    {j: w_j / sum(w_j)} for j = 1..copies+1, with w_j from
+    :meth:`Tower.levels <fiet.construction.Tower.levels>`.
     """
-    if not (1 <= seed <= N_LABELS):
-        raise ValueError(f"seed must be a label in 1..{N_LABELS}")
-    if copies < 1:
-        raise ValueError("copies must be >= 1")
-    matrices = [theta_copy(schedule, j, family) for j in range(1, copies + 1)]
-    return {j: _normalized(w) for j, w, _ in _tower(matrices, seed)}
+    tower = Tower(schedule, copies, family)
+    return {j: _normalized(w) for j, w, _ in tower.levels(seed)}
 
 
 def _normalized(w: Sequence[int]) -> tuple[Fraction, ...]:
@@ -442,12 +410,11 @@ def lemma_towers(
     levels = checked_levels(m)
     _check_c(c)
     _check_b(b)
-    matrices = [theta_copy(schedule, j, family)
-                for j in range(1, COPIES_PER_BLOCK * m + 1)]
+    tower = Tower(schedule, COPIES_PER_BLOCK * m, family)
 
     def checked(seed: int) -> dict:
         # The recursion runs from the seed level down; a tower reads upward.
-        return dict(reversed([(j, (w, dec)) for j, w, dec in _tower(matrices, seed)
+        return dict(reversed([(j, (w, dec)) for j, w, dec in tower.levels(seed)
                               if j in levels]))
 
     # Records are built through the public checks, which a traced run counts.

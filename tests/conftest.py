@@ -1,5 +1,7 @@
 """Shared strategies and fixtures: random FIETs with exact rational lengths."""
 
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -38,6 +40,22 @@ def _steppable(f: Fiet) -> bool:
 
 def steppable_fiets_st(min_n=2, max_n=6):
     return fiets_st(min_n=min_n, max_n=max_n).filter(_steppable)
+
+
+@contextmanager
+def time_limit(seconds: float, message: str):
+    """Raise TimeoutError(message) in the block once ``seconds`` have
+    passed, so a run that would take hours fails instead."""
+    def expire(signum, frame):
+        raise TimeoutError(message)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def det_fraction_elimination(rows) -> Fraction:

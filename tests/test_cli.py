@@ -848,13 +848,23 @@ class TestBenchmarkHooks:
     caller in ``src/`` and are kept only for it: drop them, and their checks
     here, in the benchmark change that drops their per-layer counters."""
 
+    TRACE_CHILD = str(Path(__file__).parents[1] / "perfbench" / "trace_child.py")
+
     def test_traced_functions_resolve(self):
         # The traced benchmark run wraps these functions by module and name.
-        trace_child = Path(__file__).parents[1] / "perfbench" / "trace_child.py"
-        hooks = runpy.run_path(str(trace_child), run_name="trace_child")
+        hooks = runpy.run_path(self.TRACE_CHILD, run_name="trace_child")
         for module, name, _ in hooks["TRACED_FUNCTIONS"]:
             assert callable(getattr(importlib.import_module(module), name, None)), \
                 f"{module}.{name}"
+
+    def test_the_cli_import_loads_every_traced_function(self):
+        # The traced run reads each module it wraps from sys.modules right
+        # after ``import fiet.cli``; a fresh interpreter shows what that loads.
+        code = ("import runpy, sys, fiet.cli\n"
+                f"for m, n, _ in runpy.run_path({self.TRACE_CHILD!r})['TRACED_FUNCTIONS']:\n"
+                "    assert callable(getattr(sys.modules.get(m), n, None)), f'{m}.{n}'\n")
+        done = TestOutputErrors.run_argv([sys.executable, "-c", code])
+        assert done.returncode == 0, done.stderr.decode()
 
     @pytest.mark.parametrize("name", ["__matmul__", "power"])
     def test_traced_methods_resolve(self, name):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import det_fraction_elimination
+from conftest import det_fraction_elimination, time_limit
 from fiet import (
     ConstructionBrokenError,
     Fiet,
@@ -16,6 +16,7 @@ from fiet import (
     RauzyPath,
     ResourceLimitError,
     SEED_LABELS,
+    Tower,
     TransitionMatrix,
     apply_path,
     base_datum,
@@ -31,7 +32,6 @@ from fiet import (
     reference_row_sums,
     reference_theta,
     symbolic_step,
-    theta_block,
     theta_copy,
     theta_gamma_p,
 )
@@ -330,7 +330,7 @@ class TestRelabelling:
         expected = TransitionMatrix.identity(8)
         for j in range(3 * i - 2, 3 * i + 1):
             expected = expected @ polynomial_at(m0, schedule.params(j)) @ P
-        assert theta_block(schedule, i) == expected
+        assert Tower(schedule, 3 * i).block(i) == expected
 
 
 class TestBaseCopyChecks:
@@ -432,7 +432,7 @@ class TestReferenceComposition:
             expected = expected @ reference_theta(t) @ P
         assert state == base_datum()
         assert threaded == expected
-        assert threaded != theta_block(schedule, 1, "reference")
+        assert threaded != Tower(schedule, 3, "reference").block(1)
 
 
 class TestParameterDependence:
@@ -550,6 +550,7 @@ class TestParameterSchedule:
 
 class TestThetaCopyAndBlock:
     SMALL = ParameterSchedule(d=2, p1_1=2)
+    TOWER = Tower(SMALL, 3)
 
     def test_family_validation(self):
         with pytest.raises(ValueError):
@@ -557,7 +558,7 @@ class TestThetaCopyAndBlock:
 
     def test_block_index_validation(self):
         with pytest.raises(ValueError):
-            theta_block(self.SMALL, 0)
+            self.TOWER.block(0)
 
     def test_families_differ(self):
         assert theta_copy(self.SMALL, 1, "computed") != theta_copy(
@@ -566,7 +567,8 @@ class TestThetaCopyAndBlock:
 
     @pytest.mark.parametrize("family", ["computed", "reference"])
     def test_block_is_unimodular(self, family):
-        assert det_fraction_elimination(theta_block(self.SMALL, 1, family).rows) == 1
+        block = Tower(self.SMALL, 3, family).block(1)
+        assert det_fraction_elimination(block.rows) == 1
 
     def test_block_is_product_of_copies(self):
         expected = (
@@ -574,10 +576,10 @@ class TestThetaCopyAndBlock:
             @ theta_copy(self.SMALL, 2)
             @ theta_copy(self.SMALL, 3)
         )
-        assert theta_block(self.SMALL, 1) == expected
+        assert self.TOWER.block(1) == expected
 
     def test_block_entries_strictly_positive(self):
-        m = theta_block(self.SMALL, 1)
+        m = self.TOWER.block(1)
         assert all(e > 0 for row in m.rows for e in row)
 
 
@@ -626,7 +628,7 @@ class TestLimitVectors:
 
     def test_alpha_is_the_row_sums_direction(self):
         rep = limit_vectors(self.SMALL, 1)
-        assert rep.alpha == normalize(theta_block(self.SMALL, 1).row_sums())
+        assert rep.alpha == normalize(Tower(self.SMALL, 3).block(1).row_sums())
 
     def test_depth_validation(self):
         with pytest.raises(ValueError):
@@ -645,6 +647,18 @@ class TestLimitVectors:
             limit_vectors(self.SMALL, 3, max_entry_bits=10)
         partial = exc_info.value.partial
         assert partial == limit_vectors(self.SMALL, partial.m)
+
+    def test_budget_stops_before_building_later_copies(self):
+        # Building all 3*10**6 copies first would take hours, not 2 ms.
+        with time_limit(1, "limit_vectors built copies past its budget"), \
+                pytest.raises(ResourceLimitError) as exc_info:
+            limit_vectors(self.SMALL, 10**6, max_entry_bits=10)
+        assert exc_info.value.partial.m == 1
+
+    @pytest.mark.parametrize("m, bits", [(1, 0), (3, 114)])
+    def test_budget_never_checks_the_final_product(self, m, bits):
+        # Block 1 is always reported; the depth-3 product has 250-bit entries.
+        assert limit_vectors(self.SMALL, m, max_entry_bits=bits).m == m
 
     def test_reference_family_supported(self):
         rep = limit_vectors(self.SMALL, 1, family="reference")

@@ -2,7 +2,6 @@
 
 import functools
 import math
-import signal
 import types
 from decimal import Decimal
 from fractions import Fraction as F
@@ -12,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import fiet
-from conftest import combinatorics_st, fiets_st, steppable_fiets_st
+from conftest import combinatorics_st, fiets_st, steppable_fiets_st, time_limit
 from fiet import core, orbits, verify, window
 from fiet.core import Record, _Tiles, replace
 from fiet import (
@@ -29,6 +28,7 @@ from fiet import (
     RauzyPath,
     ResourceLimitError,
     StepOutcome,
+    Tower,
     TransitionMatrix,
     base_datum,
     birkhoff_frequencies,
@@ -42,7 +42,6 @@ from fiet import (
     midpoint_starts,
     range_partition,
     rauzy_step,
-    theta_copy,
 )
 
 
@@ -618,28 +617,25 @@ class TestNestedRuns:
 
 
 def certificate_tower(schedule, depth, family):
-    """(thetas, maps) of a depth-m tower with J = 3m copies.
+    """(tower, maps) of a depth-m tower with J = 3m copies.
 
-    thetas[k] is copy k's matrix (k = 1..J) and maps[k] is F_k =
-    Fiet(cycle state k mod 3, lambda_k) with the integer lengths
-    lambda_k = theta_(k+1) ... theta_J (1, ..., 1), so lambda_(k-1) =
-    theta_k lambda_k and nothing is solved.
+    maps[k] is F_k = Fiet(cycle state k mod 3, lambda_k) for k = 0..J,
+    with the integer lengths lambda_k = theta_(k+1) ... theta_J (1, ..., 1):
+    level k+1 of the tower's all-ones recursion, so nothing is solved.
     """
-    copies = 3 * depth
-    thetas = [None] + [theta_copy(schedule, k, family) for k in range(1, copies + 1)]
-    lengths = [(1,) * 8]
-    for theta in reversed(thetas[1:]):
-        lengths.insert(0, theta.mat_vec(lengths[0]))
-    return thetas, [Fiet(cycle_states()[k % 3], lam) for k, lam in enumerate(lengths)]
+    tower = Tower(schedule, 3 * depth, family)
+    lengths = {j: w for j, w, _ in tower.levels((1,) * 8)}
+    return tower, [Fiet(cycle_states()[k % 3], lengths[k + 1])
+                   for k in range(len(lengths))]
 
 
-def walk_copy(thetas, maps, k, labels=range(1, 9)):
+def walk_copy(tower, maps, k, labels=range(1, 9)):
     """For each tile of F_k with a label in ``labels``, from its midpoint
     and from the first third of it: walk F_(k-1) for column-sum steps of
     that label's column of theta_k.  Yields (counts ok, end point ok)."""
     for label, lo, hi in domain_partition(maps[k]):
         if label in labels:
-            column = thetas[k].column(label)
+            column = tower.theta(k).column(label)
             for x in ((lo + hi) / 2, lo + (hi - lo) / 3):
                 pt = iterate(maps[k - 1], x, sum(column))
                 yield pt.visit_counts == column, pt.position == evaluate(maps[k], x)
@@ -651,34 +647,28 @@ class TestTowerCertificate:
     image: copy k of the tower, checked on the map itself."""
 
     @pytest.fixture(autouse=True)
-    def time_limit(self):
+    def walks_expire(self):
         # A copy that is not a return of the map can walk for hours instead
         # of failing; these walks take milliseconds.
-        def expire(signum, frame):
-            raise TimeoutError("a tower walk ran past 30 s")
-
-        previous = signal.signal(signal.SIGALRM, expire)
-        signal.setitimer(signal.ITIMER_REAL, 30)
-        yield
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
+        with time_limit(30, "a tower walk ran past 30 s"):
+            yield
 
     @pytest.mark.parametrize("schedule, depth", [
         (ParameterSchedule.relaxed(), 3), (ParameterSchedule.strict(), 2),
     ], ids=["relaxed-3", "strict-2"])
     def test_every_computed_copy_on_the_map(self, schedule, depth):
         # 144 and 96 walks; the relaxed depth-3 heights pass 1e108.
-        thetas, maps = certificate_tower(schedule, depth, "computed")
-        results = [r for k in range(1, 3 * depth + 1) for r in walk_copy(thetas, maps, k)]
+        tower, maps = certificate_tower(schedule, depth, "computed")
+        results = [r for k in range(1, 3 * depth + 1) for r in walk_copy(tower, maps, k)]
         assert results == [(True, True)] * (48 * depth)
 
     def test_reference_tower_is_not_the_maps_after_copy_one(self):
-        thetas, maps = certificate_tower(ParameterSchedule.relaxed(), 1, "reference")
-        assert list(walk_copy(thetas, maps, 1)) == [(True, True)] * 16
+        tower, maps = certificate_tower(ParameterSchedule.relaxed(), 1, "reference")
+        assert list(walk_copy(tower, maps, 1)) == [(True, True)] * 16
         # Over copy 2 the tiles labelled 1, 4 and 8 count another column
         # and end elsewhere.  The other five tiles' walks did not finish
         # within 3 s each, so they are not walked.
-        results = list(walk_copy(thetas, maps, 2, labels=(1, 4, 8)))
+        results = list(walk_copy(tower, maps, 2, labels=(1, 4, 8)))
         assert results == [(False, False)] * 6
 
 

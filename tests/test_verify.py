@@ -22,6 +22,7 @@ from fiet import (
     InequalityRecord,
     ParameterSchedule,
     PathParameters,
+    Tower,
     base_datum,
     birkhoff_frequencies,
     check_lemma1,
@@ -40,7 +41,6 @@ from fiet import (
     normalize,
     oracle_crosscheck,
     reference_column_sums,
-    theta_block,
     theta_copy,
     tower_vectors,
     verify_all,
@@ -292,10 +292,9 @@ class TestIntegerRecordsMatchFractionReference:
     @pytest.mark.parametrize("m", [1, 2])
     def test_contraction_diameter_is_the_largest_column_distance(self, m, family):
         schedule = ParameterSchedule.relaxed()
-        total = theta_block(schedule, 1, family)
-        for i in range(2, m + 1):
-            total = total @ theta_block(schedule, i, family)
-        cols = [normalize(total.column(j)) for j in range(1, 9)]
+        # Level 1 of the recursion seeded at label j is the product's column j.
+        tower = Tower(schedule, 3 * m, family)
+        cols = [normalize(list(tower.levels(j))[-1][1]) for j in range(1, 9)]
         expected = max(
             l1_distance(cols[i], cols[j]) for i in range(8) for j in range(i + 1, 8)
         )
@@ -343,11 +342,14 @@ class TestTowers:
     def test_level1_vectors_are_the_limit_columns(self, m, schedule, family):
         # limit_vectors multiplies the copies from the first (a prefix
         # product); a tower recurses from its seed level down (a suffix
-        # recursion).  Both give the normalized seed columns of the product.
+        # recursion).  Both give the normalized seed columns of the product,
+        # and the all-ones recursion at level 1 gives its row sums.
         vectors = lemma_towers(schedule, m, family=family)["vectors"]
         report = limit_vectors(schedule, m, family)
         for key in ("lambda2", "lambda5", "lambda7"):
             assert getattr(report, key) == vectors[key], key
+        ones = list(Tower(schedule, 3 * m, family).levels((1,) * 8))[-1][1]
+        assert normalize(ones) == report.alpha
 
     def test_checked_levels(self):
         assert BURN_IN_LEVELS == 2
