@@ -1,7 +1,8 @@
 """Exact interval exchange transformations with flips.
 
 Core objects (:mod:`fiet.core`), Rauzy induction and transition matrices
-(:mod:`fiet.induction`), the explicit 8-interval construction and its
+(:mod:`fiet.induction`), orbit statistics and the oracle cross-check
+(:mod:`fiet.orbits`), the explicit 8-interval construction and its
 renormalization schedule (:mod:`fiet.construction`), the machine
 verification suite (:mod:`fiet.verify`), stable serialization
 (:mod:`fiet.serialize`), and a command-line interface (:mod:`fiet.cli`).
@@ -18,6 +19,7 @@ from .core import (
     OracleInapplicable,
     OrbitPoint,
     OrbitTerminated,
+    ResourceLimitError,
     domain_partition,
     evaluate,
     first_return,
@@ -40,13 +42,11 @@ from .construction import (
     LimitReport,
     ParameterSchedule,
     PathParameters,
-    ResourceLimitError,
     SEED_LABELS,
     Tower,
     base_datum,
     build_path,
     cycle_states,
-    l1_distance,
     limit_vectors,
     matrix_fidelity_report,
     normalize,
@@ -56,21 +56,24 @@ from .construction import (
     theta_copy,
     theta_gamma_p,
 )
-from .verify import (
+from .orbits import (
     FrequencyReport,
-    InequalityRecord,
     StartResult,
     birkhoff_frequencies,
+    frequency_l1_gaps,
+    l1_distance,
+    midpoint_starts,
+    oracle_crosscheck,
+)
+from .record import InequalityRecord
+from .verify import (
     check_lemma1,
     check_lemma2,
     check_lemma3,
     check_lemma4,
     check_separation,
     checked_levels,
-    frequency_l1_gaps,
     lemma_towers,
-    midpoint_starts,
-    oracle_crosscheck,
     tower_vectors,
     verify_all,
 )

@@ -33,12 +33,11 @@ from .construction import (
     RULES,
     ParameterSchedule,
     PathParameters,
-    ResourceLimitError,
     base_datum,
     build_path,
     limit_vectors,
 )
-from .core import Fiet, FietError, replace
+from .core import Fiet, FietError, ResourceLimitError, replace
 from .induction import (
     KeaneViolation,
     RauzyPath,
@@ -47,14 +46,8 @@ from .induction import (
     rauzy_step,
     symbolic_step,
 )
-from .verify import (
-    _check_b,
-    _check_c,
-    birkhoff_frequencies,
-    midpoint_starts,
-    oracle_crosscheck,
-    verify_all,
-)
+from .orbits import birkhoff_frequencies, midpoint_starts, oracle_crosscheck
+from .verify import _check_b, _check_c, verify_all
 
 
 class UsageError(Exception):
@@ -137,15 +130,32 @@ def _output(dest: Optional[str]) -> Iterator[TextIO]:
                          f"{exc.strerror or exc}") from exc
 
 
+def schedule_from_dict(d: dict) -> ParameterSchedule:
+    """The schedule a config file describes; a key it does not know is an
+    error, and one it leaves out takes the :class:`ParameterSchedule`
+    default."""
+    if not isinstance(d, dict):
+        raise TypeError("a schedule config must be a JSON object")
+    unknown = set(d).difference(ParameterSchedule._fields)
+    if unknown:
+        raise ValueError(f"unknown schedule key(s) {sorted(unknown)}")
+    if "mode" in d and set(d) <= {"mode"}:
+        return ParameterSchedule.named(d["mode"])
+    if missing := {"d", "p1_1"} - set(d):
+        raise ValueError(f"missing schedule key(s) {sorted(missing)}; "
+                         "a config with 'mode' alone is the other valid form")
+    return ParameterSchedule(**d)
+
+
 def _schedule_from_args(args) -> ParameterSchedule:
     if args.depth < 1:
         raise UsageError("--depth must be >= 1")
     if args.config:
         data = _read_json(args.config)
         with _bad_input("bad schedule config"):
-            schedule = serialize.schedule_from_dict(data)
+            schedule = schedule_from_dict(data)
     else:
-        schedule = serialize.named_schedule(args.mode)
+        schedule = ParameterSchedule.named(args.mode)
     overrides = {"d": args.d, "p1_1": args.p1,
                  "p4_rule": args.p4_rule, "p5_rule": args.p5_rule}
     overrides = {k: v for k, v in overrides.items() if v is not None}
@@ -264,14 +274,18 @@ def _cmd_verify(args) -> int:
     with _bad_input("bad --c or --b"):
         _check_c(args.c)
         _check_b(args.b)
-    report = verify_all(
-        schedule,
-        args.depth,
-        c=args.c,
-        b=args.b,
-        family=args.family,
-        include_matrix_report=not args.no_matrix_report,
-    )
+    try:
+        report = verify_all(
+            schedule,
+            args.depth,
+            c=args.c,
+            b=args.b,
+            family=args.family,
+            include_matrix_report=not args.no_matrix_report,
+        )
+    except ResourceLimitError as exc:  # a tower past its size budget
+        sys.stderr.write(f"resource limit: {exc}\n")
+        return 1
     # Every verdict is decided by now.  The payload keeps the records
     # themselves, and dump_json builds each tower level's records as it
     # writes the level.

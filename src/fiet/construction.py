@@ -39,9 +39,9 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
-from .core import FietCombinatorics, FietError, Record, exact_int
+from .core import FietCombinatorics, FietError, Record, ResourceLimitError, exact_int
 from .induction import RauzyPath, TransitionMatrix, apply_path, thread_runs
-from .twins import mat_vec as decimal_mat_vec
+from .twins import fraction, mat_vec as decimal_mat_vec
 
 N_LABELS = 8
 BASE_PI0 = (1, 2, 3, 4, 5, 6, 7, 8)
@@ -49,22 +49,11 @@ BASE_PI1 = (4, 5, 6, 7, 2, 1, 8, 3)
 BASE_FLIPS = frozenset({2, 3, 4, 5, 6, 7})
 
 COPIES_PER_BLOCK = 3
+MAX_ENTRY_BITS = 4_000_000  # the size budget of a run's matrix and level entries
 
 
 class ConstructionBrokenError(FietError):
     """The path did not return the combinatorics to the expected state."""
-
-
-class ResourceLimitError(FietError):
-    """A computation would exceed the configured size budget.
-
-    ``partial`` carries whatever report was completed before the limit hit
-    (or None).
-    """
-
-    def __init__(self, message: str, partial=None):
-        super().__init__(message)
-        self.partial = partial
 
 
 def base_datum() -> FietCombinatorics:
@@ -267,14 +256,21 @@ class ParameterSchedule(Record):
             object.__setattr__(self, name, value)
 
     @classmethod
+    def named(cls, mode: str) -> "ParameterSchedule":
+        """The :data:`NAMED_SCHEDULES` entry ``mode``."""
+        if mode not in NAMED_SCHEDULES:
+            raise ValueError(f"unknown schedule mode {mode!r}")
+        return cls(**NAMED_SCHEDULES[mode], mode=mode)
+
+    @classmethod
     def relaxed(cls) -> "ParameterSchedule":
         """Small parameters: fast exact runs; two size conditions unmet (reported)."""
-        return cls(**NAMED_SCHEDULES["relaxed"], mode="relaxed")
+        return cls.named("relaxed")
 
     @classmethod
     def strict(cls) -> "ParameterSchedule":
         """Parameters satisfying every recorded size condition, d > 50**3."""
-        return cls(**NAMED_SCHEDULES["strict"], mode="strict")
+        return cls.named("strict")
 
     def p_triple(self, j: int) -> tuple[int, int, int]:
         """(p1, p2, p3) for copy j (1-based)."""
@@ -341,6 +337,10 @@ class Tower:
     state k mod 3.  A test walks each computed copy k on the map: from two
     points of each tile a of F_k, F_(k-1) counts column a of theta_k and
     ends at F_k's image.  The reference tower passes at copy 1 only.
+
+    ``theta(j)`` raises :class:`ResourceLimitError`, building nothing, when
+    copy j's parameters alone may pass :data:`MAX_ENTRY_BITS`, and
+    ``levels`` when a level's entries do.
     """
 
     def __init__(self, schedule: ParameterSchedule, copies: int,
@@ -353,6 +353,11 @@ class Tower:
     def theta(self, j: int) -> TransitionMatrix:
         if not 1 <= j <= self.copies:
             raise ValueError(f"copy index must be in 1..{self.copies}, got {j}")
+        # p3 of copy j is p1_1 * d**(3j - 1); its parameters are at most that.
+        s = self.schedule
+        if (bits := s.p1_1.bit_length() + (3 * j - 1) * s.d.bit_length()) > MAX_ENTRY_BITS:
+            raise ResourceLimitError(f"copy {j}'s parameters may reach {bits} bits "
+                                     f"(budget {MAX_ENTRY_BITS})")
         while len(self._thetas) < j:
             self._thetas.append(
                 theta_copy(self.schedule, len(self._thetas) + 1, self.family))
@@ -375,7 +380,11 @@ class Tower:
         yield self.copies + 1, w, dec
         for j in range(self.copies, 0, -1):
             matrix = self.theta(j)
-            w, dec = matrix.mat_vec(w), decimal_mat_vec(matrix.rows, dec)
+            w = matrix.mat_vec(w)
+            if (bits := max(e.bit_length() for e in w)) > MAX_ENTRY_BITS:
+                raise ResourceLimitError(f"level {j}'s entries reached {bits} bits "
+                                         f"(budget {MAX_ENTRY_BITS})")
+            dec = decimal_mat_vec(matrix.rows, dec)
             yield j, w, dec
 
 
@@ -387,20 +396,17 @@ def integer_coordinates(vec: Sequence) -> tuple[tuple[int, ...], int]:
 
 
 def normalize(vec: Sequence) -> tuple[Fraction, ...]:
-    """Scale a non-negative, non-zero vector to sum 1 (exact)."""
-    w, _ = integer_coordinates(vec)
+    """Scale a non-negative, non-zero vector to sum 1 (exact); ints are taken
+    as they are, and :class:`~fiet.twins.Twin` values give twin fractions."""
+    w = tuple(vec)
+    if not all(isinstance(e, int) for e in w):
+        w, _ = integer_coordinates(w)
     if any(e < 0 for e in w):
         raise ValueError("vector has a negative entry")
     s = sum(w)
     if s == 0:
         raise ValueError("vector is zero")
-    return tuple(Fraction(e, s) for e in w)
-
-
-def l1_distance(u: Sequence, v: Sequence) -> Fraction:
-    if len(u) != len(v):
-        raise ValueError("dimension mismatch")
-    return sum((abs(Fraction(a) - Fraction(b)) for a, b in zip(u, v)), Fraction(0))
+    return tuple(fraction(e, s) for e in w)
 
 
 def l1_cross(u: Sequence[int], su: int, v: Sequence[int], sv: int) -> int:
@@ -439,7 +445,7 @@ def limit_vectors(
     schedule: ParameterSchedule,
     m: int,
     family: str = "computed",
-    max_entry_bits: int = 4_000_000,
+    max_entry_bits: int = MAX_ENTRY_BITS,
 ) -> LimitReport:
     """Normalized columns 2, 5, 7 and the image of the all-ones direction
     after m blocks.

@@ -11,7 +11,7 @@ integers over one denominator; a map built from integers makes their
 ``Fraction`` values only when they are first read.  Points are
 ``fractions.Fraction`` at the API boundary only: :func:`evaluate`,
 :func:`iterate`, :func:`first_return` and
-:func:`fiet.verify.birkhoff_frequencies` share one
+:func:`fiet.orbits.birkhoff_frequencies` share one
 map compiled into integer tiles at a common scale (``_Tiles``).  Orbits are
 stepped by one walker, :func:`fiet.window.segments`, which crosses
 translation runs in closed form by one rule at every depth, the orbit's
@@ -74,6 +74,18 @@ class OracleInapplicable(FietError):
     """first_return could not represent the return map as an n-interval FIET."""
 
 
+class ResourceLimitError(FietError):
+    """A computation would exceed the configured size budget.
+
+    ``partial`` carries whatever report was completed before the limit hit
+    (or None).
+    """
+
+    def __init__(self, message: str, partial=None):
+        super().__init__(message)
+        self.partial = partial
+
+
 def exact_int(v, name: str) -> int:
     """``v`` as an int; raises ValueError unless its value is an integer.
 
@@ -107,17 +119,15 @@ def _ints(values):
 
 
 def _check_permutation(
-    images: Sequence[int], labels: frozenset[int], name: str
+    images: Sequence[int], n: int, labels: frozenset[int], name: str
 ) -> tuple[int, ...]:
-    """``images`` as a tuple of ints; raises unless its values order ``labels``.
+    """``images`` as a tuple of ints; raises unless its values order 1..n.
 
-    ``len(labels)`` values that cover ``labels`` are each label once.
+    n values that cover ``labels``, the labels 1..n, are each label once.
     """
     images = tuple(images)
-    if len(images) != len(labels) or labels.difference(images):
-        raise ValueError(
-            f"{name} must be a permutation of 1..{len(labels)}, got {images}"
-        )
+    if len(images) != n or labels.difference(images):
+        raise ValueError(f"{name} must be a permutation of 1..{n}, got {images}")
     return _ints(images)
 
 
@@ -132,9 +142,12 @@ class FietCombinatorics(Record):
     def __init__(self, n: int, pi0, pi1, flips) -> None:
         if n < 1:
             raise ValueError("n must be >= 1")
-        labels = _labels(n)
-        pi0 = _check_permutation(pi0, labels, "pi0")
-        pi1 = _check_permutation(pi1, labels, "pi1")
+        pi0 = tuple(pi0)
+        # The labels 1..n are built only for a row of n values, so a huge n
+        # with a short row is refused before they are.
+        labels = _labels(n) if len(pi0) == n else frozenset()
+        pi0 = _check_permutation(pi0, n, labels, "pi0")
+        pi1 = _check_permutation(pi1, n, labels, "pi1")
         flips = frozenset(flips)
         if not flips <= labels:
             raise ValueError(f"flips {set(flips)} not a subset of 1..{n}")

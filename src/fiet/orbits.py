@@ -3,10 +3,10 @@
 :func:`birkhoff_frequencies` measures visit frequencies and the largest
 gap of finite orbits on the map itself, and :func:`oracle_crosscheck`
 checks one induction step against the geometric first-return map on
-random maps.  Neither reads a tower, so both live apart from
-:mod:`fiet.verify`, which re-exports every name here; compiling the two
-modules separately keeps each compile, and so every command's import
-peak, smaller.
+random maps.  Neither reads a tower, so the module imports only
+:mod:`fiet.core` and :mod:`fiet.induction`, and its own compile keeps every
+command's import peak, which the largest compile sets, smaller.
+:mod:`fiet.verify` binds the two functions, where the traced run wraps them.
 """
 
 from __future__ import annotations
@@ -16,11 +16,11 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
 
-from .construction import ResourceLimitError, l1_distance
 from .core import (
     Fiet,
     FietCombinatorics,
     Record,
+    ResourceLimitError,
     _fiet_from_rows,
     _return_rows,
     _Tiles,
@@ -154,6 +154,12 @@ def frequency_l1_gaps(report: FrequencyReport, horizon: int) -> dict:
                 rows[i].frequencies, rows[j].frequencies
             )
     return gaps
+
+
+def l1_distance(u: Sequence, v: Sequence) -> Fraction:
+    if len(u) != len(v):
+        raise ValueError("dimension mismatch")
+    return sum((abs(Fraction(a) - Fraction(b)) for a, b in zip(u, v)), Fraction(0))
 
 
 def oracle_crosscheck(trials: int, seed: int = 0) -> dict:

@@ -1,15 +1,21 @@
-"""The immutable record base of every value type of the package.
+"""The immutable record base of every value type, and the verify records.
 
 Every value type of the package (an FIET, a path, a matrix, a report) is an
 immutable :class:`Record`, and :func:`replace` copies one with some fields
-changed.  The base imports nothing from ``fiet``; it is kept out of
-``core`` so that compiling ``core``, which every process does when it runs
-from source, costs no more memory than the largest module's compile.
+changed.  A checked inequality is an :class:`InequalityRecord`, and
+:class:`LevelRecords` holds several tower levels' records, built when
+read; here, the writer reads both without a tower module.  The module
+imports nothing from ``fiet``; it is kept out of ``core`` so that compiling
+``core``, which every process does when it runs from source, costs no more
+memory than the largest module's compile.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+from fractions import Fraction
 from operator import attrgetter
+from typing import Optional
 
 _set = object.__setattr__
 
@@ -103,3 +109,74 @@ def replace(record: Record, **changes) -> Record:
     values = {k: getattr(record, k) for k in record._fields}
     values.update(changes)
     return type(record)(**values)
+
+
+class InequalityRecord(Record):
+    """One checked inequality: lhs (cmp) rhs with exact margin = lhs - rhs.
+
+    ``holds`` is ``margin > 0`` for strict records and ``margin >= 0`` for
+    the single non-strict one.
+    """
+
+    lemma_id: str
+    item: str
+    lhs: Fraction
+    rhs: Fraction
+    margin: Fraction
+    holds: bool
+    strict: bool = True
+
+    def __init__(self, lemma_id: str, item: str, lhs: Fraction, rhs: Fraction,
+                 margin: Fraction, holds: bool, strict: bool = True) -> None:
+        # A report builds thousands, so each field is stored directly
+        # rather than bound through the generic constructor.
+        _set(self, "lemma_id", lemma_id)
+        _set(self, "item", item)
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
+        _set(self, "margin", margin)
+        _set(self, "holds", holds)
+        _set(self, "strict", strict)
+
+
+class LevelRecords(Sequence):
+    """Records of several levels in one sequence, read level by level.
+
+    A level is added as its records, or as a callable that builds them
+    each time the level is read, with their number.  So a long list of
+    failing records is never held: iterating builds one level at a time.
+    It is equal to a list of the same records.
+    """
+
+    __slots__ = ("_levels", "_len")  # a report holds one per tower level
+
+    def __init__(self, records=(), count: Optional[int] = None) -> None:
+        self._levels: list = []
+        self._len = 0
+        self.add_level(records, count)
+
+    def add_level(self, records, count: Optional[int] = None) -> None:
+        """Append a level: its records, or, with ``count``, a callable
+        that builds that many."""
+        if count is None:
+            records = list(records)
+            count = len(records)
+        self._levels.append(records)
+        self._len += count
+
+    def __iter__(self):
+        for records in self._levels:
+            yield from records() if callable(records) else records
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, index):
+        return list(self)[index]
+
+    def __eq__(self, other):
+        if isinstance(other, (list, LevelRecords)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None

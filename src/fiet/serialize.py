@@ -5,7 +5,8 @@ trips are unambiguous); decimals are a fixed-precision rendering for human
 readers only and never parsed back.  One writer, :func:`dump_json`, lays
 out every command's JSON as ``json.dumps(indent=2, sort_keys=True)`` does,
 writes integers of any size, refuses floats and carries no timestamps, so
-identical inputs produce identical bytes.
+identical inputs produce identical bytes.  At run time it imports only
+:mod:`fiet.core` and :mod:`fiet.record`.
 """
 
 from __future__ import annotations
@@ -13,13 +14,15 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Iterator, Optional, Sequence, TextIO
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence, TextIO
 
 from .core import Fiet, FietCombinatorics, exact_int
-from .construction import NAMED_SCHEDULES, LimitReport, ParameterSchedule
-from .induction import StepOutcome, TransitionMatrix
-from .orbits import FrequencyReport
-from .verify import InequalityRecord, LevelRecords
+from .record import InequalityRecord, LevelRecords
+
+if TYPE_CHECKING:
+    from .construction import LimitReport, ParameterSchedule
+    from .induction import StepOutcome, TransitionMatrix
+    from .orbits import FrequencyReport
 
 
 # The interpreter's int/str conversion digit limit; 0 means none.  Python
@@ -162,29 +165,6 @@ def schedule_to_dict(s: ParameterSchedule) -> dict:
     return {name: getattr(s, name) for name in s._fields}
 
 
-def schedule_from_dict(d: dict) -> ParameterSchedule:
-    """The schedule a config file describes; a key it does not know is an
-    error, and one it leaves out takes the :class:`ParameterSchedule`
-    default."""
-    if not isinstance(d, dict):
-        raise TypeError("a schedule config must be a JSON object")
-    unknown = set(d).difference(ParameterSchedule._fields)
-    if unknown:
-        raise ValueError(f"unknown schedule key(s) {sorted(unknown)}")
-    if "mode" in d and set(d) <= {"mode"}:
-        return named_schedule(d["mode"])
-    if missing := {"d", "p1_1"} - set(d):
-        raise ValueError(f"missing schedule key(s) {sorted(missing)}; "
-                         "a config with 'mode' alone is the other valid form")
-    return ParameterSchedule(**d)
-
-
-def named_schedule(mode: str) -> ParameterSchedule:
-    if mode not in NAMED_SCHEDULES:
-        raise ValueError(f"unknown schedule mode {mode!r}")
-    return ParameterSchedule(**NAMED_SCHEDULES[mode], mode=mode)
-
-
 def limit_report_to_dict(rep: LimitReport, precision: int = 12) -> dict:
     def both(vec):
         return {
@@ -208,7 +188,7 @@ def limit_report_to_dict(rep: LimitReport, precision: int = 12) -> dict:
 
 def json_default(o):
     """The ``default`` hook with which ``json.dumps`` writes what
-    :func:`dump_json` writes: a :class:`~fiet.verify.LevelRecords` as its
+    :func:`dump_json` writes: a :class:`~fiet.record.LevelRecords` as its
     record list, built as it is read, and an :class:`InequalityRecord` as
     its :func:`record_to_dict` dict."""
     if isinstance(o, LevelRecords):
@@ -223,7 +203,7 @@ def verify_report_to_dict(report: dict) -> dict:
 
     Records stay :class:`InequalityRecord` values, written as their
     :func:`record_to_dict` dicts.  Each tower level is its
-    :class:`~fiet.verify.LevelRecords`, whose records are built when the
+    :class:`~fiet.record.LevelRecords`, whose records are built when the
     writer reaches that level, so a written report holds one level at a time.
     """
     towers = {}
@@ -311,7 +291,7 @@ def dump_json(obj, stream: Optional[TextIO] = None) -> Optional[str]:
     default=json_default) + "\n"``, with integers of any size written in
     :func:`int_to_str` digits.  Given a text ``stream``, it is written there
     piece by piece as it is made and nothing is returned, so no copy of the
-    whole text is ever held; a :class:`~fiet.verify.LevelRecords` builds
+    whole text is ever held; a :class:`~fiet.record.LevelRecords` builds
     each level's records when it is reached, so one level's records are
     held at a time.  Without a stream the text is returned.  A float, a
     dict key that is not a ``str`` or a value of any other type raises

@@ -16,6 +16,11 @@ Towers: a depth-m run reads the J = 3m copies of one
 of the seed basis vector under the copy matrices j..J (applied right to
 left).  Levels J-1 and J are start-up artifacts of the finite seed, so a
 depth-m run checks levels 1..3m-2.
+
+The records are :mod:`fiet.record`'s.  The orbit statistics live in
+:mod:`fiet.orbits`; the two functions the traced benchmark run wraps on
+this module, :func:`birkhoff_frequencies` and :func:`oracle_crosscheck`,
+are bound here too.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from typing import Optional
 
-from .core import Record, _set
 from .construction import (
     COPIES_PER_BLOCK,
     N_LABELS,
@@ -34,92 +38,14 @@ from .construction import (
     integer_coordinates,
     l1_cross,
     matrix_fidelity_report,
+    normalize,
     reference_column_sums,
 )
-# The orbit statistics and the oracle cross-check, importable from here too.
-from .orbits import (  # noqa: F401
-    FrequencyReport,
-    StartResult,
-    _random_fiet,
-    birkhoff_frequencies,
-    frequency_l1_gaps,
-    midpoint_starts,
-    oracle_crosscheck,
-)
+from .orbits import birkhoff_frequencies, oracle_crosscheck  # noqa: F401
+from .record import InequalityRecord, LevelRecords
 from .twins import Twin, fraction, twin_vector, with_twins
 
 BURN_IN_LEVELS = 2  # levels J-1, J are finite-seed start-up artifacts
-
-
-class InequalityRecord(Record):
-    """One checked inequality: lhs (cmp) rhs with exact margin = lhs - rhs.
-
-    ``holds`` is ``margin > 0`` for strict records and ``margin >= 0`` for
-    the single non-strict one.
-    """
-
-    lemma_id: str
-    item: str
-    lhs: Fraction
-    rhs: Fraction
-    margin: Fraction
-    holds: bool
-    strict: bool = True
-
-    def __init__(self, lemma_id: str, item: str, lhs: Fraction, rhs: Fraction,
-                 margin: Fraction, holds: bool, strict: bool = True) -> None:
-        # A report builds thousands, so each field is stored directly
-        # rather than bound through the generic constructor.
-        _set(self, "lemma_id", lemma_id)
-        _set(self, "item", item)
-        _set(self, "lhs", lhs)
-        _set(self, "rhs", rhs)
-        _set(self, "margin", margin)
-        _set(self, "holds", holds)
-        _set(self, "strict", strict)
-
-
-class LevelRecords(Sequence):
-    """Records of several levels in one sequence, read level by level.
-
-    A level is added as its records, or as a callable that builds them
-    each time the level is read, with their number.  So a long list of
-    failing records is never held: iterating builds one level at a time.
-    It is equal to a list of the same records.
-    """
-
-    __slots__ = ("_levels", "_len")  # a report holds one per tower level
-
-    def __init__(self, records=(), count: Optional[int] = None) -> None:
-        self._levels: list = []
-        self._len = 0
-        self.add_level(records, count)
-
-    def add_level(self, records, count: Optional[int] = None) -> None:
-        """Append a level: its records, or, with ``count``, a callable
-        that builds that many."""
-        if count is None:
-            records = list(records)
-            count = len(records)
-        self._levels.append(records)
-        self._len += count
-
-    def __iter__(self):
-        for records in self._levels:
-            yield from records() if callable(records) else records
-
-    def __len__(self) -> int:
-        return self._len
-
-    def __getitem__(self, index):
-        return list(self)[index]
-
-    def __eq__(self, other):
-        if isinstance(other, (list, LevelRecords)):
-            return list(self) == list(other)
-        return NotImplemented
-
-    __hash__ = None
 
 
 class _Records:
@@ -340,14 +266,7 @@ def tower_vectors(
     :meth:`Tower.levels <fiet.construction.Tower.levels>`.
     """
     tower = Tower(schedule, copies, family)
-    return {j: _normalized(w) for j, w, _ in tower.levels(seed)}
-
-
-def _normalized(w: Sequence[int]) -> tuple[Fraction, ...]:
-    """w / sum(w) for non-negative ints w, not all zero; twins give twin
-    fractions."""
-    s = sum(w)
-    return tuple(fraction(e, s) for e in w)
+    return {j: normalize(w) for j, w, _ in tower.levels(seed)}
 
 
 def checked_levels(m: int) -> tuple[int, ...]:
@@ -428,7 +347,7 @@ def lemma_towers(
             check_lemma3(w, c, p(j)) + check_lemma4(w, b, p(j)) if build
             else _lemma3(w, c, p(j), build) + _lemma4(w, b, p(j), build))),
     }
-    towers["vectors"] = {key: _normalized(tower.level(1))
+    towers["vectors"] = {key: normalize(tower.level(1))
                          for key, tower in towers.items()}
     return towers
 

@@ -4,9 +4,22 @@ import signal
 from contextlib import contextmanager
 from fractions import Fraction
 
+import pytest
 from hypothesis import strategies as st
 
-from fiet import Fiet, FietCombinatorics
+from fiet import Fiet, FietCombinatorics, core
+
+@pytest.fixture
+def no_huge_label_sets(monkeypatch):
+    """Fail, without allocating, any build of the labels 1..n for n > 1000."""
+    labels = core._labels
+
+    def guarded(n):
+        assert n <= 1000, f"built the labels 1..{n}"
+        return labels(n)
+
+    monkeypatch.setattr(core, "_labels", guarded)
+
 
 positive_fractions = st.builds(
     Fraction, st.integers(min_value=1, max_value=60), st.integers(min_value=1, max_value=24)

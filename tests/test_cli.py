@@ -30,7 +30,7 @@ from fiet import (
     limit_vectors,
     rauzy_step,
 )
-from fiet import core, orbits, serialize
+from fiet import construction, core, orbits, serialize
 from fiet.cli import main
 from fiet.serialize import (
     FREQUENCY_CSV_HEADER,
@@ -409,6 +409,14 @@ class TestVerify:
         assert size[0]["holds"] is True
         assert size[0]["margin"] == "59360/1"
 
+    def test_a_tower_past_its_budget_is_a_resource_limit(self, capsys, monkeypatch):
+        # Relaxed depth 2 needs 145-bit copy parameters at copy 6; a budget
+        # of 64 bits stops the tower before it builds any copy.
+        monkeypatch.setattr(construction, "MAX_ENTRY_BITS", 64)
+        code, out, err = run(capsys, ["verify", "--mode", "relaxed", "--depth", "2"])
+        assert (code, out) == (1, "")
+        assert err == "resource limit: copy 6's parameters may reach 145 bits (budget 64)\n"
+
 
 class TestOutputPins:
     """SHA-256 of the whole stdout: every printed number and key, byte for byte."""
@@ -591,6 +599,13 @@ class TestInputErrors:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ")
+
+    def test_path_input_with_a_huge_n_exits_two(self, capsys, tmp_path, no_huge_label_sets):
+        bad = write_json(tmp_path, "c.json", {"n": 100_000_000, "pi0": [1], "pi1": [1]})
+        code, out, err = run(capsys, ["path", "--in", bad, "--word", "a"])
+        assert (code, out) == (2, "")
+        assert err == ("error: bad combinatorics data: pi0 must be a permutation "
+                       "of 1..100000000, got (1,)\n")
 
     def test_path_input_without_pi0_exits_two(self, capsys, tmp_path):
         bad = write_json(tmp_path, "c.json", {"n": 8, "pi1": list(range(1, 9))})

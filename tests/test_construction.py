@@ -1,5 +1,6 @@
 """Tests for the 8-interval construction, its schedules, and matrix families."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -664,6 +665,29 @@ class TestLimitVectors:
         rep = limit_vectors(self.SMALL, 1, family="reference")
         assert rep.family == "reference"
         assert sum(rep.alpha) == 1
+
+
+class TestTowerBudget:
+    """A tower stays within construction.MAX_ENTRY_BITS.  At relaxed depth
+    2, copy j's parameter bound is 9 + (3j - 1) * 8 bits, and the reference
+    tower seeded at label 2 reaches 131, 237 and 322 bits at levels 6-4."""
+
+    RELAXED = ParameterSchedule.relaxed()
+
+    def test_no_copy_past_the_parameter_bound_is_built(self, monkeypatch):
+        monkeypatch.setattr(construction, "MAX_ENTRY_BITS", 100)
+        tower = Tower(self.RELAXED, 6)
+        tower.theta(4)  # 97 bits
+        with pytest.raises(ResourceLimitError, match=r"copy 6's parameters may reach 145 bits"):
+            tower.theta(6)
+        assert len(tower._thetas) == 4
+
+    def test_no_level_past_the_budget_is_kept(self, monkeypatch):
+        monkeypatch.setattr(construction, "MAX_ENTRY_BITS", 300)
+        levels = Tower(self.RELAXED, 6, "reference").levels(2)
+        assert [j for j, _, _ in itertools.islice(levels, 3)] == [7, 6, 5]
+        with pytest.raises(ResourceLimitError, match=r"level 4's entries reached 322 bits"):
+            next(levels)
 
 
 class TestLengthDrivenDynamics:

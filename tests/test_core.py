@@ -933,6 +933,13 @@ def combinatorics_args_st(draw):
             [draw(label_value_st(k)) for k in flips])
 
 
+class TestHugeLabelCount:
+    def test_a_short_row_is_refused_before_the_labels_are_built(self, no_huge_label_sets):
+        with pytest.raises(ValueError) as exc:
+            FietCombinatorics(10**18, (1,), (1,), ())
+        assert str(exc.value) == f"pi0 must be a permutation of 1..{10**18}, got (1,)"
+
+
 class TestCombinatoricsRule:
     @given(combinatorics_args_st())
     @example((3, (1, True, 3.0), (F(3), 1, 2), [True, 2.0]))

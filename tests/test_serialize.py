@@ -29,6 +29,7 @@ from fiet import (
     verify_all,
 )
 from fiet import serialize, verify
+from fiet.cli import schedule_from_dict
 from fiet.serialize import (
     FREQUENCY_CSV_HEADER,
     comb_from_dict,
@@ -44,10 +45,8 @@ from fiet.serialize import (
     int_to_str,
     limit_report_to_dict,
     matrix_to_lists,
-    named_schedule,
     parse_fraction,
     record_to_dict,
-    schedule_from_dict,
     schedule_to_dict,
     step_outcome_to_dict,
     str_to_int,
@@ -203,7 +202,7 @@ class TestSchedulePayload:
 
     def test_named_schedule_rejects_unknown(self):
         with pytest.raises(ValueError):
-            named_schedule("loose")
+            ParameterSchedule.named("loose")
 
     def test_rules_default_when_absent(self):
         s = schedule_from_dict({"d": 3, "p1_1": 5})

@@ -45,7 +45,8 @@ from fiet import (
     tower_vectors,
     verify_all,
 )
-from fiet.verify import BURN_IN_LEVELS, _random_fiet
+from fiet.orbits import _random_fiet
+from fiet.verify import BURN_IN_LEVELS
 
 UNIFORM = tuple(Fraction(1, 8) for _ in range(8))
 E2 = tuple(Fraction(1 if k == 2 else 0) for k in range(1, 9))
